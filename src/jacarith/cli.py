@@ -3,7 +3,9 @@ and measure complexity scaling.
 
 Reports are JSON lines on stdout (one object per case, with the seed that
 reproduces it) plus a human-readable table on stderr.  Exit code 0 means
-every requested case passed.
+every requested case passed, 1 that a case failed (a run the engine gave up
+on, because the data broke one of its checks, is a failed ``aborted`` case),
+and 2 that the arguments or an input file were rejected.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 import numpy as np
 
 from . import cantor, divisors, jacobian, linalg
-from .curverep import product, validate_rep
+from .curverep import DegreeLawViolation, product, validate_rep
 from .field import RandomStream
 from .hyperelliptic import (CurveBundle, gen_hyperelliptic, gen_paper_fixture,
                             gen_rep_b0, load_bundle, save_bundle)
@@ -386,6 +388,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (divisors.LasVegasExhausted, DegreeLawViolation) as exc:
+        # the engine's own checks caught data that is not what it claims
+        report = Reporter(getattr(args, "suite", args.command), str(args.seed))
+        report.case("aborted", False, error=type(exc).__name__, message=str(exc))
+        report.flush()
+        return 1
 
 
 if __name__ == "__main__":

@@ -33,6 +33,11 @@ class AllZeroSections(ValueError):
     """A section list with at least one nonzero element was required."""
 
 
+class DegreeLawViolation(RuntimeError):
+    """An elimination result broke a dimension or degree law that holds on
+    consistent curve data (so the data is not what it claims to be)."""
+
+
 class RepA:
     """Multiplication-table form: tables[i] = M_i, size delta' x delta."""
 
@@ -123,7 +128,8 @@ def simple_mul(rep, s: np.ndarray, w: Subspace) -> Subspace:
     if not np.count_nonzero(s):
         raise ZeroSection("simple multiplication needs a nonzero section")
     out = linalg.column_echelon(rep.field, _apply_mul(rep, s, w.basis))
-    assert out.dim == w.dim
+    if out.dim != w.dim:
+        raise DegreeLawViolation(f"s*W has dimension {out.dim}, expected {w.dim}")
     return out
 
 

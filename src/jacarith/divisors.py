@@ -10,6 +10,7 @@ conversion loop terminates with verified output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -70,16 +71,20 @@ class CubicData:
 
 @dataclass
 class RetryStats:
-    """Las Vegas retry bookkeeping, surfaced in CLI reports."""
+    """Las Vegas retry bookkeeping, surfaced in CLI reports.
+
+    ``histogram[k]`` counts the calls that took k attempts; k never exceeds
+    the loop cap, so memory stays bounded however long the stats live.
+    """
 
     calls: int = 0
     attempts: int = 0
-    per_call: list = dc_field(default_factory=list)
+    histogram: Counter = dc_field(default_factory=Counter)
 
     def record(self, attempts: int) -> None:
         self.calls += 1
         self.attempts += attempts
-        self.per_call.append(attempts)
+        self.histogram[attempts] += 1
 
     @property
     def mean_attempts(self) -> float:
@@ -88,6 +93,14 @@ class RetryStats:
 
 def divisor_from_space(rep, space: Subspace) -> DivisorFull:
     return DivisorFull(space, rep.delta - space.dim)
+
+
+def require_degree(d: DivisorFull, expected: int, what: str) -> DivisorFull:
+    """d itself, once its degree is the one the theory guarantees."""
+    if d.degree != expected:
+        raise curverep.DegreeLawViolation(
+            f"{what} has degree {d.degree}, expected {expected}")
+    return d
 
 
 def _ceil_log(base: int, target: int) -> int:
@@ -230,8 +243,7 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
         defl = deflate(rep, d, rng, stats)
     s_v = curverep._apply_mul(rep, s, rep.full_v().basis)
     out = divisor_from_space(rep, curverep.divide_raw(rep, s_v, defl.sections))
-    assert out.degree == rep.Delta - d.degree, "flip degree law violated"
-    return out
+    return require_degree(out, rep.Delta - d.degree, f"flip of a degree-{d.degree} divisor")
 
 
 def membership_test(rep, w: Subspace, defl_v: IgsV, rng,

@@ -408,7 +408,7 @@ def save_bundle(bundle: CurveBundle, path: str, rep: str = "a") -> None:
         "curve": {"f": list(bundle.curve.f), "h": list(bundle.curve.h)},
         "tables": {
             "shape": list(bundle.rep_a.tables.shape),
-            "entries": [int(c) for c in bundle.rep_a.tables.reshape(-1)],
+            "entries": bundle.rep_a.tables.reshape(-1).tolist(),
         },
         "rep_b0": None,
     }
@@ -417,11 +417,14 @@ def save_bundle(bundle: CurveBundle, path: str, rep: str = "a") -> None:
             "points": [[int(x), int(y)] for x, y in bundle.rep_b0.points],
             "a_v": {
                 "shape": list(bundle.rep_b0.a_v.shape),
-                "entries": [int(c) for c in bundle.rep_b0.a_v.reshape(-1)],
+                "entries": bundle.rep_b0.a_v.reshape(-1).tolist(),
             },
         }
+    # one dumps call: json.dump writes each list item separately, which is
+    # several times slower; the bytes are the same (default=int catches any
+    # numpy integer left in an object array)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc, default=int))
         fh.write("\n")
 
 

@@ -199,7 +199,7 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     s_we = curverep._apply_mul(rep, s, y.space.basis)
     w_de = divisors.divisor_from_space(
         rep, curverep.divide_raw(rep, s_we, defl_dt.sections))
-    assert w_de.degree == 2 * model.d, "sum divisor must be large"
+    divisors.require_degree(w_de, 2 * model.d, "sum divisor")
     out = divisors.flip(rep, w_de, rng, stats=model.stats)
     return JacobianPoint(SMALL, out)
 
@@ -217,7 +217,7 @@ def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     raw = curverep._apply_mul(rep, s, d_tilde.space.basis)
     out = divisors.divisor_from_space(
         rep, curverep.divide_raw(rep, raw, defl_e.sections))
-    assert out.degree == 2 * model.d, "addflip of large divisors must stay large"
+    divisors.require_degree(out, 2 * model.d, "addflip of large divisors")
     return JacobianPoint(LARGE, out)
 
 

@@ -1,10 +1,14 @@
 """Exact dense linear algebra over F_p.
 
-Matrices are numpy arrays of canonical residues; all algorithms are plain
-Gaussian elimination, no floating point anywhere.  For moduli up to 2^20 the
-arrays are int64 (products plus column-length sums stay far below 2^63); for
-larger moduli we fall back to object arrays of Python ints, which are exact
-at any size.
+Matrices are numpy arrays of canonical residues; no floating point anywhere.
+For moduli up to 2^20 the arrays are int64; for larger moduli we fall back
+to object arrays of Python ints, which are exact at any size.  One Gaussian
+elimination loop (``_eliminate``) serves rref, rank and both kernels.  It
+reduces lazily: a pivot step reduces only the pivot column, the pivot row
+and the multipliers, and the rest of the matrix is reduced once at the end.
+A step subtracts less than p^2 from an entry, so entries stay below
+min(m, n) * (p-1)^2 + p in absolute value.  For every prime p <= 2^20 that
+is below 2^63 when min(m, n) < 8,388,672; each elimination checks it.
 
 Subspaces of F_p^N are always stored canonically: the basis matrix is in
 reduced column echelon form (pivot rows strictly increasing, pivots 1, pivot
@@ -28,20 +32,6 @@ class DimensionMismatch(ValueError):
 
 def dtype_for(field: PrimeField):
     return np.int64 if field.p <= _INT64_MODULUS_LIMIT else object
-
-
-def as_matrix(field: PrimeField, rows) -> np.ndarray:
-    a = np.array(rows, dtype=dtype_for(field))
-    if a.ndim != 2:
-        raise DimensionMismatch("matrix data must be two-dimensional")
-    return a % field.p
-
-
-def as_vector(field: PrimeField, entries) -> np.ndarray:
-    a = np.array(entries, dtype=dtype_for(field))
-    if a.ndim != 1:
-        raise DimensionMismatch("vector data must be one-dimensional")
-    return a % field.p
 
 
 def zeros(field: PrimeField, m: int, n: int) -> np.ndarray:
@@ -73,62 +63,64 @@ def mat_mul(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.dot(b) % field.p
 
 
-def mat_vec(field: PrimeField, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if a.shape[1] != v.shape[0]:
-        raise DimensionMismatch(f"cannot apply {a.shape} to vector of length {v.shape[0]}")
-    return a.dot(v) % field.p
+def _eliminate(field: PrimeField, a: np.ndarray, full: bool) -> tuple[np.ndarray, list[int]]:
+    """Gaussian elimination with delayed reduction: (matrix, pivot columns).
+
+    With ``full`` the matrix is the reduced row echelon form; without it
+    only entries below the pivots are cleared (enough for the rank) and the
+    matrix is left unreduced.  Until the first update the matrix is still
+    reduced, so the per-step reductions wait for it: update-free matrices
+    pay nothing for them.
+    """
+    p = field.p
+    r = np.array(a, dtype=dtype_for(field)) % p
+    m, n = r.shape
+    if r.dtype != object and min(m, n) * (p - 1) ** 2 + p >= 1 << 63:
+        raise OverflowError(f"{m}x{n} elimination mod {p} could overflow int64")
+    pivots: list[int] = []
+    dirty = False  # whether some entry may lie outside [0, p)
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        if dirty:
+            r[0 if full else row:, col] %= p
+        nz = np.flatnonzero(r[row:, col])
+        if nz.size == 0:
+            continue
+        i = row + int(nz[0])
+        if i != row:
+            r[[row, i]] = r[[i, row]]
+        if dirty:
+            r[row, col:] %= p
+        inv = pow(int(r[row, col]), -1, p)
+        if full:
+            if inv != 1:
+                r[row, col:] = r[row, col:] * inv % p
+            factors = r[:, col].copy()
+            factors[row] = 0
+            top = 0
+        else:
+            top = row + 1
+            factors = r[top:, col] * inv % p
+        if np.count_nonzero(factors):
+            r[top:, col:] -= np.outer(factors, r[row, col:])
+            dirty = True
+        pivots.append(col)
+        row += 1
+    if dirty and full:
+        r %= p
+    return r, pivots
 
 
 def rref(field: PrimeField, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns."""
-    p = field.p
-    r = np.array(a, dtype=dtype_for(field)) % p
-    m, n = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        i = row + int(nz[0])
-        if i != row:
-            r[[row, i]] = r[[i, row]]
-        lead = int(r[row, col])
-        if lead != 1:
-            r[row, col:] = r[row, col:] * pow(lead, -1, p) % p
-        others = r[:, col].copy()
-        others[row] = 0
-        if np.count_nonzero(others):
-            r[:, col:] = (r[:, col:] - np.outer(others, r[row, col:])) % p
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    return _eliminate(field, a, full=True)
 
 
 def matrix_rank(field: PrimeField, a: np.ndarray) -> int:
     """Rank by forward elimination only (cheaper than full rref)."""
-    p = field.p
-    r = np.array(a, dtype=dtype_for(field)) % p
-    m, n = r.shape
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        i = row + int(nz[0])
-        if i != row:
-            r[[row, i]] = r[[i, row]]
-        inv_lead = pow(int(r[row, col]), -1, p)
-        below = r[row + 1:, col]
-        if np.count_nonzero(below):
-            factors = below * inv_lead % p
-            r[row + 1:, col:] = (r[row + 1:, col:] - np.outer(factors, r[row, col:])) % p
-        row += 1
-    return row
+    return len(_eliminate(field, a, full=False)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,29 +160,34 @@ def column_echelon(field: PrimeField, a: np.ndarray) -> Subspace:
     return Subspace(field, a.shape[0], basis)
 
 
-def _kernel_raw(field: PrimeField, a: np.ndarray) -> np.ndarray:
-    """A (not necessarily canonical) basis matrix of {v : a v = 0}."""
-    p = field.p
-    r, pivots = rref(field, a)
-    n = a.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    k = zeros(field, n, len(free))
-    for j, fc in enumerate(free):
-        k[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            k[pc, j] = (-int(r[i, fc])) % p
-    return k
-
-
 def kernel_basis(field: PrimeField, a: np.ndarray) -> Subspace:
-    """Canonical basis of {v : a v = 0}; dim = cols - rank."""
-    return column_echelon(field, _kernel_raw(field, a))
+    """Canonical basis of {v : a v = 0}; dim = cols - rank.
+
+    One elimination: on a with its columns reversed, the kernel vector of
+    free column f has a 1 at f, zeros at the other free columns and nonzero
+    entries only at pivot columns before f.  Reflected back, these vectors
+    are the reduced column echelon form, with the free columns as pivot rows.
+    """
+    n = a.shape[1]
+    r, pivots = rref(field, a[:, ::-1])
+    pivot_set = set(pivots)
+    free = [c for c in range(n - 1, -1, -1) if c not in pivot_set]
+    k = zeros(field, n, len(free))
+    k[free, range(len(free))] = 1
+    k[pivots] = -r[: len(pivots), free] % field.p
+    return Subspace(field, n, k[::-1].copy())
 
 
 def left_kernel_rows(field: PrimeField, a: np.ndarray) -> np.ndarray:
     """Rows spanning {w : w a = 0}; shape (rows - rank) x rows."""
-    return _kernel_raw(field, a.T).T.copy()
+    m = a.shape[0]
+    r, pivots = rref(field, a.T)
+    pivot_set = set(pivots)
+    free = [c for c in range(m) if c not in pivot_set]
+    rows = zeros(field, len(free), m)
+    rows[range(len(free)), free] = 1
+    rows[:, pivots] = (-r[: len(pivots), free] % field.p).T
+    return rows
 
 
 def constraint_rows(field: PrimeField, s: Subspace) -> np.ndarray:

@@ -102,3 +102,21 @@ def test_b0_suite_through_cli(tmp_path, capsys):
                          "--rep", "b0")
     assert code == 0
     assert all(r["pass"] for r in rows)
+
+
+def test_corrupted_table_is_a_failed_report_not_a_traceback(tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    assert main(["gen", "--genus", "2", "--prime", "1009", "--seed", "7",
+                 "--out", str(good)]) == 0
+    capsys.readouterr()
+    data = json.loads(good.read_text())
+    assert data["tables"]["entries"][0] == 1  # the product 1*1
+    data["tables"]["entries"][0] = 5
+    bad.write_text(json.dumps(data))
+    code, rows, err = _run(capsys, "verify", "--bundle", str(bad),
+                           "--suite", "oracle", "--trials", "2", "--seed", "1")
+    assert code == 1
+    assert "Traceback" not in err
+    assert [r["case"] for r in rows] == ["aborted"]
+    assert rows[0]["pass"] is False and rows[0]["suite"] == "oracle"
+    assert rows[0]["details"]["error"] in ("LasVegasExhausted", "DegreeLawViolation")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jacarith as ja
-from jacarith import linalg
+from jacarith import curverep, linalg
 
 
 def _unit(n, k, dtype=np.int64):
@@ -73,6 +73,15 @@ def test_simple_mul_preserves_dim(bundle_g2):
         if not np.count_nonzero(s):
             continue
         assert ja.simple_mul(rep, s, w).dim == w.dim
+
+
+def test_simple_mul_dimension_law_is_a_typed_error(bundle_g2, monkeypatch):
+    rep = bundle_g2.rep_a
+    w = rep.full_v()
+    monkeypatch.setattr(linalg, "column_echelon",
+                        lambda field, a: linalg.zero_subspace(field, a.shape[0]))
+    with pytest.raises(curverep.DegreeLawViolation):
+        ja.simple_mul(rep, w.basis[:, 0].copy(), w)
 
 
 def test_simple_mul_zero_section_and_zero_space(bundle_g2):

@@ -3,7 +3,7 @@ import pytest
 
 import jacarith as ja
 import jacarith.poly as poly
-from jacarith import divisors, linalg
+from jacarith import curverep, divisors, linalg
 
 
 def test_igs_size_h_values():
@@ -71,6 +71,19 @@ def test_deflate_inflate_roundtrip(bundle_g2, model_g2):
         assert back.space == d.space
         assert back.degree == d.degree
     assert stats.mean_attempts <= 2.5
+    assert sum(stats.histogram.values()) == stats.calls == 25
+    assert sum(k * v for k, v in stats.histogram.items()) == stats.attempts
+
+
+def test_retry_stats_memory_is_bounded():
+    stats = divisors.RetryStats()
+    for i in range(3000):
+        stats.record(1 + i % 3)
+    stats.record(divisors._LOOP_CAP)
+    assert stats.histogram == {1: 1000, 2: 1000, 3: 1000, divisors._LOOP_CAP: 1}
+    assert stats.calls == 3001
+    assert stats.mean_attempts == pytest.approx((6000 + divisors._LOOP_CAP) / 3001)
+    assert divisors.RetryStats().mean_attempts == 0.0
 
 
 def test_deflate_precondition(bundle_g2):
@@ -112,6 +125,15 @@ def test_flip_degree_and_dimension_laws(bundle_g2, model_g2):
         flipped = ja.flip(rep, d, ja.RandomStream("f").split(i))
         assert d.degree + flipped.degree == rep.Delta
         assert flipped.space.dim == rep.delta - flipped.degree
+
+
+def test_flip_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch):
+    rep = bundle_g2.rep_a
+    d = _bridged(bundle_g2, model_g2, "law", 0)
+    # a division that returns all of V breaks deg E = Delta - deg D
+    monkeypatch.setattr(curverep, "divide_raw", lambda rep, basis, sections: rep.full_v())
+    with pytest.raises(curverep.DegreeLawViolation, match="flip"):
+        ja.flip(rep, d, ja.RandomStream("law"))
 
 
 def test_flip_preconditions(bundle_g2):

@@ -1,7 +1,7 @@
 import pytest
 
 import jacarith as ja
-from jacarith import divisors, jacobian
+from jacarith import curverep, divisors, jacobian
 
 
 def _pair(bundle, model, label):
@@ -114,6 +114,29 @@ def test_small_large_variants_agree(bundle_g2, model_g2):
             divisors.flip(model_g2.rep, neg_small.divisor, rng.split(f"f{i}"),
                           defl=jacobian._defl_of(model_g2, neg_small.divisor)))
         assert ja.equal_class(model_g2, as_large, large)
+
+
+@pytest.mark.parametrize("op, tag", [(ja.addflip_large, ja.LARGE),
+                                     (ja.addflip_small, ja.SMALL)])
+def test_addflip_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch, op, tag):
+    m1, m2, _, _ = _pair(bundle_g2, model_g2, "law")
+    x = ja.mumford_to_point(model_g2, m1, tag)
+    y = ja.mumford_to_point(model_g2, m2, tag)
+    divide_raw = curverep.divide_raw
+    calls = []
+
+    def wrong_second_division(rep, basis, sections):
+        # the flip inside the op divides first; the op's own division is
+        # the second, and returning all of V gives it degree 0
+        calls.append(1)
+        if len(calls) == 2:
+            return rep.full_v()
+        return divide_raw(rep, basis, sections)
+
+    monkeypatch.setattr(curverep, "divide_raw", wrong_second_division)
+    with pytest.raises(curverep.DegreeLawViolation, match="degree 0"):
+        op(model_g2, x, y, ja.RandomStream("law"))
+    assert len(calls) == 2
 
 
 def test_group_axioms_sample(bundle_g1, model_g1):

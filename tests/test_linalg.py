@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jacarith as ja
 from jacarith import linalg
@@ -125,3 +126,147 @@ def test_large_modulus_object_path():
     assert ja.column_echelon(field, ja.mat_mul(field, a, g)) == canon
     k = ja.kernel_basis(field, _rand(field, 2, 5, rng))
     assert k.dim >= 3
+
+
+# --- the elimination kernel against a plain per-entry Gauss-Jordan ---------
+
+PRIMES = (2, 1009, 1048573, 2**31 - 1)  # 1048573: largest int64-path prime
+
+
+def _reference_rref(rows, n, p):
+    """Textbook Gauss-Jordan on lists of Python ints, one entry at a time."""
+    r = [[x % p for x in row] for row in rows]
+    pivots, row = [], 0
+    for col in range(n):
+        pick = next((i for i in range(row, len(r)) if r[i][col]), None)
+        if pick is None:
+            continue
+        r[row], r[pick] = r[pick], r[row]
+        inv = pow(r[row][col], -1, p)
+        r[row] = [x * inv % p for x in r[row]]
+        for i in range(len(r)):
+            c = r[i][col]
+            if i != row and c:
+                r[i] = [(x - c * y) % p for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(r):
+            break
+    return r, pivots
+
+
+def _reference_kernel_vectors(rows, n, p):
+    """One vector per free column: 1 there, minus the rref entries at pivots."""
+    r, pivots = _reference_rref(rows, n, p)
+    vectors = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][fc] % p
+        vectors.append(v)
+    return vectors
+
+
+def _reference_column_echelon(columns, ambient, p):
+    r, pivots = _reference_rref(columns, ambient, p)
+    return r[: len(pivots)]  # the canonical basis, one column per row
+
+
+def _transpose(rows, n):
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(n)]
+
+
+def _as_lists(a):
+    return [[int(x) for x in row] for row in a]
+
+
+@st.composite
+def _matrices(draw):
+    """(p, rows, m, n) covering dense, sparse, zero, rank-deficient,
+    zero-column and identity-like shapes, tall and wide."""
+    p = draw(st.sampled_from(PRIMES))
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(
+        ("dense", "sparse", "zero", "low_rank", "zero_columns", "identity_stack")))
+    entry = st.integers(0, p - 1)
+    if kind == "sparse":
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    elif kind == "zero":
+        entry = st.just(0)
+    grid = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+    if kind == "low_rank":
+        k = draw(st.integers(0, max(min(m, n) - 1, 0)))
+        left = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                             min_size=m, max_size=m))
+        right = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+        rows = [[sum(x * y for x, y in zip(lrow, col)) % p
+                 for col in _transpose(right, n)] for lrow in left]
+    elif kind == "identity_stack":
+        # scaled unit rows in distinct columns plus zero rows: no column
+        # ever has a second nonzero entry, so no update runs
+        cols = draw(st.permutations(range(n)))[: min(m, n)]
+        rows = [[0] * n for _ in range(m)]
+        slots = draw(st.permutations(range(m)))
+        for slot, col in zip(slots, cols):
+            rows[slot][col] = draw(st.integers(1, p - 1))
+    else:
+        rows = draw(grid)
+        if kind == "zero_columns" and n:
+            dead = draw(st.sets(st.integers(0, n - 1)))
+            rows = [[0 if j in dead else x for j, x in enumerate(row)] for row in rows]
+    return p, rows, m, n
+
+
+def _matrix(field, rows, m, n):
+    a = linalg.zeros(field, m, n)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            a[i, j] = x
+    return a
+
+
+_REFERENCE = settings(max_examples=300, deadline=None)
+
+
+@_REFERENCE
+@given(_matrices())
+def test_rref_and_rank_match_reference(case):
+    p, rows, m, n = case
+    field = ja.make_prime_field(p)
+    a = _matrix(field, rows, m, n)
+    want, want_pivots = _reference_rref(rows, n, p)
+    got, pivots = linalg.rref(field, a)
+    assert got.shape == (m, n) and got.dtype == linalg.dtype_for(field)
+    assert _as_lists(got) == want and pivots == want_pivots
+    assert linalg.matrix_rank(field, a) == len(want_pivots)
+    assert _as_lists(a) == rows  # the input is left alone
+
+
+@_REFERENCE
+@given(_matrices())
+def test_kernels_match_reference(case):
+    p, rows, m, n = case
+    field = ja.make_prime_field(p)
+    a = _matrix(field, rows, m, n)
+    vectors = _reference_kernel_vectors(rows, n, p)
+    want = _reference_column_echelon(vectors, n, p)
+    got = linalg.kernel_basis(field, a)
+    assert got.basis.shape == (n, len(want)) and got.ambient == n
+    assert _as_lists(got.basis.T) == want
+    got_rows = linalg.left_kernel_rows(field, a)
+    want_rows = _reference_kernel_vectors(_transpose(rows, n), m, p)
+    assert got_rows.shape == (len(want_rows), m)
+    assert _as_lists(got_rows) == want_rows
+
+
+def test_int64_overflow_bound_is_checked(monkeypatch):
+    # with the int64 path stretched to p = 2^31 - 1, two pivot steps fit
+    # (2 * (p-1)^2 + p < 2^63) but three could overflow
+    monkeypatch.setattr(linalg, "_INT64_MODULUS_LIMIT", 1 << 62)
+    field = ja.make_prime_field(2**31 - 1)
+    assert linalg.dtype_for(field) is np.int64
+    assert linalg.matrix_rank(field, np.array([[3, 4, 5], [1, 1, 1]])) == 2
+    with pytest.raises(OverflowError):
+        linalg.rref(field, np.arange(9).reshape(3, 3))
