@@ -60,7 +60,8 @@ def _require_odd(curve: HyperellipticCurve) -> None:
 
 def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor,
                b: MumfordDivisor) -> MumfordDivisor:
-    """Composition followed by reduction; both inputs must be reduced."""
+    """Composition followed by reduction; both inputs must be reduced
+    classes of this curve, or an inexact division raises CurveMismatch."""
     _require_odd(curve)
     p, f, g = curve.p, curve.f, curve.g
     u1, v1, u2, v2 = a.u, a.v, b.u, b.v
@@ -68,17 +69,20 @@ def cantor_add(curve: HyperellipticCurve, a: MumfordDivisor,
     d, c1, c2 = poly.xgcd(d1, poly.add(v1, v2, p), p)
     s1, s2, s3 = poly.mul(c1, e1, p), poly.mul(c1, e2, p), c2
     u, rem = poly.divmod_poly(poly.mul(u1, u2, p), poly.mul(d, d, p), p)
-    assert not rem, "composition degree bookkeeping failed"
+    if rem:
+        raise CurveMismatch("composition degree bookkeeping failed")
     num = poly.add(
         poly.add(poly.mul(poly.mul(s1, u1, p), v2, p),
                  poly.mul(poly.mul(s2, u2, p), v1, p), p),
         poly.mul(s3, poly.add(poly.mul(v1, v2, p), f, p), p), p)
     vq, vrem = poly.divmod_poly(num, d, p)
-    assert not vrem, "composition numerator not divisible by gcd"
+    if vrem:
+        raise CurveMismatch("composition numerator not divisible by gcd")
     v = poly.mod(vq, u, p)
     while poly.deg(u) > g:
         u_next, rem = poly.divmod_poly(poly.sub(f, poly.mul(v, v, p), p), u, p)
-        assert not rem, "reduction step not exact"
+        if rem:
+            raise CurveMismatch("reduction step not exact: v^2 != f mod u")
         u_next = poly.monic(u_next, p)
         v = poly.mod(poly.neg(v, p), u_next, p)
         u = u_next
@@ -123,7 +127,8 @@ def _sqrt_f_mod_u(curve: HyperellipticCurve, u: tuple, rng: RandomStream) -> tup
         moduli.append(poly.power(q, e, p))
     v = residues[0] if len(residues) == 1 else poly.crt(residues, moduli, p)
     v = poly.mod(v, u, p)
-    assert not poly.mod(poly.sub(poly.mul(v, v, p), f, p), u, p)
+    if poly.mod(poly.sub(poly.mul(v, v, p), f, p), u, p):
+        raise CurveMismatch("square root of f mod u failed its check")
     return v
 
 

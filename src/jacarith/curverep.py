@@ -7,7 +7,15 @@ multiplication map V x V -> V'.  Two encodings are supported:
   delta' x delta, so multiplication by a section s with coordinates c is the
   matrix combination M_s = sum_i c_i M_i.
 * ``RepB0`` stores value vectors of a V-basis at N = 2*Delta + 1 rational
-  points, so multiplication is componentwise and M_s is diagonal.
+  points, so multiplication is componentwise.
+
+Division solves for coordinates over the canonical V-basis E =
+``rep.full_v().basis`` in both forms: for each section the constraint block
+is K_W' * (s*E), a matrix with delta columns, and its kernel C comes back as
+E*C.  No re-echelon is needed, because E*C is already canonical: if E has
+pivot rows r_1 < ... < r_delta and C pivot rows c_1 < ... < c_d, column k of
+E*C starts with a 1 at row r_{c_k}, and row r_{c_j} of E*C is row c_j of C,
+i.e. the unit vector e_j.  In ``RepA`` E is the identity and E*C is C.
 
 Everything downstream (divisor representations, group operations) is built
 from four primitives on these encodings: single products, simple
@@ -65,9 +73,17 @@ class RepA:
             self._full_v = linalg.full_subspace(self.field, self.n)
         return self._full_v
 
+    def from_v_coords(self, c: Subspace) -> Subspace:
+        """The subspace with coordinates c over full_v(); here that is c."""
+        return c
+
 
 class RepB0:
-    """Point-value form: a_v columns are value vectors of a V-basis."""
+    """Point-value form: a_v columns are value vectors of a V-basis.
+
+    ``k_v`` (rows cutting out V in value coordinates) is read only by
+    ``validate_rep``; division works over ``full_v()`` instead.
+    """
 
     kind = "b0"
 
@@ -95,6 +111,10 @@ class RepB0:
             self._full_v = linalg.column_echelon(self.field, self.a_v)
         return self._full_v
 
+    def from_v_coords(self, c: Subspace) -> Subspace:
+        """The subspace E*c, E = full_v().basis; canonical as it stands."""
+        return Subspace(self.field, self.n, self.full_v().basis.dot(c.basis) % self.field.p)
+
 
 def mult_matrix(rep, s: np.ndarray) -> np.ndarray:
     """Matrix of multiplication-by-s from V-coordinates to V'-coordinates."""
@@ -108,9 +128,13 @@ def mult_matrix(rep, s: np.ndarray) -> np.ndarray:
 
 
 def _apply_mul(rep, s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw basis of s * (column span of b); avoids a dense M_s for RepB0."""
+    """Raw basis of s * (column span of b); avoids a dense M_s for RepB0.
+
+    For RepA and b = full_v().basis (the identity) this is M_s itself.
+    """
     if rep.kind == "a":
-        return mult_matrix(rep, s).dot(b) % rep.field.p
+        m_s = mult_matrix(rep, s)
+        return m_s if b is rep.full_v().basis else m_s.dot(b) % rep.field.p
     return s[:, None] * b % rep.field.p
 
 
@@ -155,13 +179,11 @@ def sum_of_products_dim(rep, sections, w: Subspace) -> int:
 
 
 def _division_stack(rep, kw: np.ndarray, sections) -> np.ndarray:
-    """The stacked constraint matrix whose kernel is W' / {s_i}."""
-    live = _nonzero_sections(sections)
-    if rep.kind == "a":
-        blocks = [kw.dot(mult_matrix(rep, s)) % rep.field.p for s in live]
-    else:
-        blocks = [rep.k_v] + [kw * s[None, :] % rep.field.p for s in live]
-    return np.vstack(blocks)
+    """The stacked constraint matrix whose kernel is W' / {s_i}, in
+    coordinates over full_v()."""
+    e = rep.full_v().basis
+    return np.vstack([kw.dot(_apply_mul(rep, s, e)) % rep.field.p
+                      for s in _nonzero_sections(sections)])
 
 
 def divide(rep, wp: Subspace, sections) -> Subspace:
@@ -174,14 +196,14 @@ def divide(rep, wp: Subspace, sections) -> Subspace:
 def divide_raw(rep, wp_basis: np.ndarray, sections) -> Subspace:
     """Division against any (not necessarily canonical) spanning basis of W'."""
     kw = linalg.left_kernel_rows(rep.field, wp_basis)
-    return linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections))
+    return rep.from_v_coords(linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections)))
 
 
 def divide_is_nonzero(rep, wp_basis: np.ndarray, sections) -> bool:
     """Whether the division result has positive dimension (rank test only)."""
     kw = linalg.left_kernel_rows(rep.field, wp_basis)
     stack = _division_stack(rep, kw, sections)
-    return linalg.matrix_rank(rep.field, stack) < rep.n
+    return linalg.matrix_rank(rep.field, stack) < rep.delta
 
 
 @dataclass

@@ -203,8 +203,7 @@ def igs_for_v(rep, cubic: CubicData, rng, stats: RetryStats | None = None) -> Ig
     full = rep.full_v()
     for attempt in range(1, _LOOP_CAP + 1):
         sections = igs_candidate(rep, full, h, rng)
-        stacked = np.hstack([star_mult_matrix(cubic, rep.field, s) for s in sections])
-        if linalg.matrix_rank(rep.field, stacked) == cubic.delta_pp:
+        if verify_igs_v(rep, cubic, sections):
             if stats is not None:
                 stats.record(attempt)
             return IgsV(tuple(sections))

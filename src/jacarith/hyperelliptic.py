@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, poly
+from . import curverep, divisors, linalg, poly
 from .curverep import RepA, RepB0, validate_rep
 from .divisors import CubicData
 from .field import PrimeField, RandomStream, make_prime_field, sqrt_mod
@@ -216,7 +216,6 @@ class CurveBundle:
             rep = self.rep_b0
             sections = None
             if with_cubic:
-                from . import divisors
                 igs_rng = rng.split("igs-v") if rng else RandomStream("igs-v")
                 igs = divisors.igs_for_v(self.rep_a, self.cubic(), igs_rng)
                 sections = tuple(self.to_b0_vector(s) for s in igs.sections)
@@ -375,7 +374,6 @@ def gen_rep_b0(bundle: CurveBundle, rng: RandomStream) -> CurveBundle:
     # evaluation must turn table products into componentwise products
     vp = basis_monomials(bundle.curve, 2 * bundle.Delta)
     a_vp = _value_matrix(bundle.curve, bundle.field, vp, points)
-    from . import curverep
     for _ in range(8):
         i = rng.randrange(bundle.rep_a.delta)
         j = rng.randrange(bundle.rep_a.delta)

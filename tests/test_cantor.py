@@ -156,3 +156,18 @@ def test_oracle_requires_odd_characteristic():
     b2 = ja.gen_hyperelliptic(2, 2, rng=ja.RandomStream("even"))
     with pytest.raises(ja.BadCharacteristic):
         ja.random_mumford(b2.curve, ja.RandomStream(0))
+
+
+def test_cantor_add_off_curve_pair_is_a_typed_error(bundle_g1):
+    # (x - 1, c) with c^2 != f(1) looks reduced but is not on the curve; its
+    # composition with a true class reaches the reduction step, whose exact
+    # division by u must fail with a typed error (not an assert)
+    curve = bundle_g1.curve
+    p = curve.p
+    c = 0 if poly.evaluate(curve.f, 1, p) else 1
+    bad = cantor.MumfordDivisor((p - 1, 1), (c,))
+    rng = ja.RandomStream("off-curve")
+    good = next(m for m in (ja.random_mumford(curve, rng.split(i)) for i in range(20))
+                if m.u != bad.u)
+    with pytest.raises(cantor.CurveMismatch, match="reduction step"):
+        ja.cantor_add(curve, bad, good)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jacarith as ja
 from jacarith import curverep, linalg
@@ -212,3 +213,84 @@ def test_repb0_divide_inverts_simple_mul(b0_bundle):
         cols = sorted({r.randrange(full.dim) for _ in range(4)})
         w = ja.column_echelon(rep.field, full.basis[:, cols])
         assert ja.divide(rep, ja.simple_mul(rep, s, w), [s]) == w
+
+
+# Division on the point-value form solves in coordinates over full_v().  The
+# reference below is the value-coordinate formulation it replaced: the
+# kernel of [K_V; K_W' * diag(s_i)] in all N coordinates, where the K_V rows
+# force the answer into V.
+
+_B0_REPS = {}
+
+
+def _b0_rep(g, p):
+    if (g, p) not in _B0_REPS:
+        bundle = ja.gen_hyperelliptic(g, p, rng=ja.RandomStream(f"ref-div-{g}-{p}"))
+        _B0_REPS[g, p] = ja.gen_rep_b0(bundle, ja.RandomStream(f"ref-div-pts-{g}-{p}")).rep_b0
+    return _B0_REPS[g, p]
+
+
+def _reference_division(rep, wp_basis, sections):
+    p = rep.field.p
+    kw = linalg.left_kernel_rows(rep.field, wp_basis)
+    live = [s for s in sections if np.count_nonzero(s)]
+    stack = np.vstack([rep.k_v] + [kw * s[None, :] % p for s in live])
+    return linalg.kernel_basis(rep.field, stack), linalg.matrix_rank(rep.field, stack) < rep.n
+
+
+def _draw_matrix(data, field, rows, cols):
+    entries = data.draw(st.lists(st.integers(0, field.p - 1),
+                                 min_size=rows * cols, max_size=rows * cols))
+    out = linalg.zeros(field, rows, cols)
+    for k, x in enumerate(entries):
+        out[k // cols, k % cols] = x
+    return out
+
+
+def _draw_in_v(data, rep, cols):
+    """cols elements of V as value vectors: E times drawn coordinates."""
+    e = rep.full_v().basis
+    return e.dot(_draw_matrix(data, rep.field, rep.delta, cols)) % rep.field.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_repb0_division_matches_value_coordinate_reference(data):
+    rep = _b0_rep(data.draw(st.sampled_from((2, 3))),
+                  data.draw(st.sampled_from((1009, 2**31 - 1))))
+    field, p = rep.field, rep.field.p
+    h = data.draw(st.integers(1, 3))
+    sections = list(_draw_in_v(data, rep, h).T)
+    # W' = (some of the s_i) * W + extra vectors, so quotients are often nonzero
+    w = _draw_in_v(data, rep, data.draw(st.integers(0, rep.delta)))
+    used = data.draw(st.integers(0, h))
+    extra = _draw_matrix(data, field, rep.n, data.draw(st.integers(0, 3)))
+    raw = np.hstack([s[:, None] * w % p for s in sections[:used]] + [extra])
+    wp = linalg.column_echelon(field, raw)
+    if not any(np.count_nonzero(s) for s in sections):
+        for call in (lambda: ja.divide(rep, wp, sections),
+                     lambda: curverep.divide_is_nonzero(rep, raw, sections)):
+            with pytest.raises(ja.AllZeroSections):
+                call()
+        return
+    want, want_nonzero = _reference_division(rep, raw, sections)
+    got = ja.divide(rep, wp, sections)
+    assert got.ambient == rep.n and got.basis.dtype == linalg.dtype_for(field)
+    assert got == want
+    assert curverep.divide_raw(rep, raw, sections) == want
+    assert curverep.divide_is_nonzero(rep, raw, sections) == want_nonzero == (want.dim > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_times_canonical_is_canonical(data):
+    # the division returns E*C with no re-echelon: for reduced column echelon E, C
+    # the product is already the canonical basis of its span
+    field = ja.make_prime_field(data.draw(st.sampled_from((2, 1009, 2**31 - 1))))
+    n = data.draw(st.integers(1, 8))
+    e = linalg.column_echelon(field, _draw_matrix(data, field, n, data.draw(st.integers(0, n))))
+    c = linalg.column_echelon(
+        field, _draw_matrix(data, field, e.dim, data.draw(st.integers(0, e.dim))))
+    ec = e.basis.dot(c.basis) % field.p
+    assert ec.shape == (n, c.dim)
+    assert np.array_equal(ec, linalg.column_echelon(field, ec).basis)
