@@ -18,8 +18,8 @@ from .curverep import (AllZeroSections, RepA, RepB0, ZeroSection, divide,
 from .divisors import (CubicData, DivisorBrief, DivisorFull, EmptySpace, IgsV,
                        PreconditionCodim, PreconditionDegree, RetryStats,
                        deflate, divisor_from_space, flip, igs_for_v,
-                       igs_size_h, igs_size_h_fq, inflate, is_igs,
-                       membership_test, random_igs_candidate)
+                       igs_size_h, inflate, is_igs, membership_test,
+                       random_igs_candidate)
 from .jacobian import (LARGE, SMALL, InconsistentPrecomp, JacobianPoint,
                        LargeModel, LargeModelPrecomp, TagMismatch, add,
                        addflip, addflip_large, addflip_small, equal_class,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import divisors, jacobian, linalg, poly
-from .field import RandomStream, stream_from_bytes
+from .field import RandomStream
 from .hyperelliptic import BadCharacteristic, HyperellipticCurve
 from .jacobian import LARGE, SMALL, JacobianPoint, LargeModel
 
@@ -162,11 +162,9 @@ def mumford_to_point(model: LargeModel, m: MumfordDivisor,
 
     if tag == LARGE:
         small = mumford_to_point(model, cantor_negate(curve, m), SMALL)
-        rng = stream_from_bytes(model._salt.encode(), b"bridge-large",
-                                jacobian._space_bytes(small.space))
+        rng = model.content_stream("bridge-large", small.space)
         flipped = divisors.flip(rep, small.divisor, rng,
-                                defl=jacobian._defl_of(model, small.divisor),
-                                stats=model.stats)
+                                defl=model.defl_of(small.divisor), stats=model.stats)
         return JacobianPoint(LARGE, flipped)
     if tag != SMALL:
         raise jacobian.TagMismatch(f"unknown size tag {tag!r}")
@@ -212,9 +210,7 @@ def semireduced_space(model: LargeModel, u: tuple, v: tuple,
         for r, j in enumerate(high):
             block[r, j] = 1
         rows.append(block)
-    space = linalg.kernel_basis(field, np.vstack(rows))
-    if info.a_v is not None:
-        space = linalg.column_echelon(field, info.a_v.dot(space.basis) % p)
+    space = rep.from_table_space(linalg.kernel_basis(field, np.vstack(rows)))
     out = divisors.divisor_from_space(rep, space)
     if out.degree != degree:
         raise CurveMismatch(

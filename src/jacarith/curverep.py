@@ -9,13 +9,23 @@ multiplication map V x V -> V'.  Two encodings are supported:
 * ``RepB0`` stores value vectors of a V-basis at N = 2*Delta + 1 rational
   points, so multiplication is componentwise.
 
-Division solves for coordinates over the canonical V-basis E =
-``rep.full_v().basis`` in both forms: for each section the constraint block
-is K_W' * (s*E), a matrix with delta columns, and its kernel C comes back as
-E*C.  No re-echelon is needed, because E*C is already canonical: if E has
-pivot rows r_1 < ... < r_delta and C pivot rows c_1 < ... < c_d, column k of
-E*C starts with a 1 at row r_{c_k}, and row r_{c_j} of E*C is row c_j of C,
-i.e. the unit vector e_j.  In ``RepA`` E is the identity and E*C is C.
+Both classes share one protocol, and everything above this module uses the
+protocol alone, whichever encoding it runs on:
+
+* ``full_v()``: the canonical basis E of V in this form's coordinates;
+* ``apply_mul(s, b)``: a raw basis of s * (column span of b);
+* ``from_v_coords(c)``: the subspace with coordinates c over E;
+* ``from_table_space(w)``: a canonical subspace given in table (monomial)
+  coordinates, as this form's canonical subspace;
+* ``add_checks(report)``: the form's own ``validate_rep`` checks.
+
+Division solves for coordinates over E in both forms: for each section the
+constraint block is K_W' * (s*E), a matrix with delta columns, and its
+kernel C comes back as E*C.  No re-echelon is needed, because E*C is already
+canonical: if E has pivot rows r_1 < ... < r_delta and C pivot rows
+c_1 < ... < c_d, column k of E*C starts with a 1 at row r_{c_k}, and row
+r_{c_j} of E*C is row c_j of C, i.e. the unit vector e_j.  In ``RepA`` E is
+the identity and E*C is C.
 
 Everything downstream (divisor representations, group operations) is built
 from four primitives on these encodings: single products, simple
@@ -25,6 +35,7 @@ multiplication s*W, sums of products, and division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +59,6 @@ class DegreeLawViolation(RuntimeError):
 
 class RepA:
     """Multiplication-table form: tables[i] = M_i, size delta' x delta."""
-
-    kind = "a"
 
     def __init__(self, field: PrimeField, g: int, Delta: int, tables: np.ndarray,
                  bridge_info=None):
@@ -77,18 +86,45 @@ class RepA:
         """The subspace with coordinates c over full_v(); here that is c."""
         return c
 
+    def from_table_space(self, w: Subspace) -> Subspace:
+        """Table coordinates are this form's own; w as it stands."""
+        return w
+
+    def apply_mul(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """M_s * b; for b = full_v().basis (the identity) M_s itself."""
+        m_s = mult_matrix(self, s)
+        return m_s if b is self.full_v().basis else m_s.dot(b) % self.field.p
+
+    def add_checks(self, report: ValidationReport) -> None:
+        sym = bool(np.array_equal(self.tables, self.tables.transpose(2, 1, 0)))
+        report.add("table symmetry c_ijk = c_jik", sym)
+        # surjectivity: the joint left kernel of all M_i must vanish; track
+        # it incrementally (it usually dies after a handful of tables)
+        p = self.field.p
+        order = [0, self.delta - 1] + list(range(1, self.delta - 1))
+        kern = None
+        for i in order:
+            if kern is None:
+                kern = linalg.left_kernel_rows(self.field, self.tables[i])
+            else:
+                inside = linalg.left_kernel_rows(self.field, kern.dot(self.tables[i]) % p)
+                kern = inside.dot(kern) % p
+            if kern.shape[0] == 0:
+                break
+        report.add("multiplication map surjective", kern.shape[0] == 0,
+                   f"joint left kernel has dimension {kern.shape[0]}")
+
 
 class RepB0:
-    """Point-value form: a_v columns are value vectors of a V-basis.
+    """Point-value form: a_v columns are value vectors of the table form's
+    V-basis (the monomials), so a_v maps table coordinates to values.
 
-    ``k_v`` (rows cutting out V in value coordinates) is read only by
-    ``validate_rep``; division works over ``full_v()`` instead.
+    Division works over ``full_v()``; ``k_v`` (rows cutting out V in value
+    coordinates) is built only when the validation checks read it.
     """
 
-    kind = "b0"
-
     def __init__(self, field: PrimeField, g: int, Delta: int, a_v: np.ndarray,
-                 points=None, k_v: np.ndarray | None = None, bridge_info=None):
+                 points=None, bridge_info=None):
         self.field = field
         self.g = g
         self.Delta = Delta
@@ -101,8 +137,6 @@ class RepB0:
                 f"a_v must have shape ({self.n}, {self.delta}), got {a_v.shape}")
         self.a_v = a_v % field.p
         self.points = list(points) if points is not None else None
-        self.k_v = (k_v % field.p if k_v is not None
-                    else linalg.left_kernel_rows(field, self.a_v))
         self.bridge_info = bridge_info
         self._full_v = None
 
@@ -111,40 +145,50 @@ class RepB0:
             self._full_v = linalg.column_echelon(self.field, self.a_v)
         return self._full_v
 
+    @cached_property
+    def k_v(self) -> np.ndarray:
+        return linalg.left_kernel_rows(self.field, self.a_v)
+
     def from_v_coords(self, c: Subspace) -> Subspace:
         """The subspace E*c, E = full_v().basis; canonical as it stands."""
         return Subspace(self.field, self.n, self.full_v().basis.dot(c.basis) % self.field.p)
 
+    def from_table_space(self, w: Subspace) -> Subspace:
+        """Canonical basis of the value vectors a_v * w."""
+        return linalg.column_echelon(self.field, self.a_v.dot(w.basis) % self.field.p)
 
-def mult_matrix(rep, s: np.ndarray) -> np.ndarray:
-    """Matrix of multiplication-by-s from V-coordinates to V'-coordinates."""
+    def apply_mul(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """s * b row by row: multiplication is componentwise."""
+        return s[:, None] * b % self.field.p
+
+    def add_checks(self, report: ValidationReport) -> None:
+        report.add("N = 2*Delta + 1", self.n == 2 * self.Delta + 1, f"N={self.n}")
+        report.add("rank A_V = delta",
+                   linalg.matrix_rank(self.field, self.a_v) == self.delta)
+        report.add("K_V annihilates A_V",
+                   not np.count_nonzero(self.k_v.dot(self.a_v) % self.field.p))
+        report.add("K_V has full row rank",
+                   linalg.matrix_rank(self.field, self.k_v) == self.n - self.delta)
+
+
+def mult_matrix(rep: RepA, s: np.ndarray) -> np.ndarray:
+    """The table form's M_s: multiplication by s from V- to V'-coordinates."""
     if s.shape[0] != rep.n:
         raise DimensionMismatch(f"section has length {s.shape[0]}, expected {rep.n}")
-    if rep.kind == "a":
-        return np.tensordot(s, rep.tables, axes=(0, 0)) % rep.field.p
-    out = linalg.zeros(rep.field, rep.n, rep.n)
-    np.fill_diagonal(out, s)
-    return out
+    return np.tensordot(s, rep.tables, axes=(0, 0)) % rep.field.p
 
 
 def _apply_mul(rep, s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Raw basis of s * (column span of b); avoids a dense M_s for RepB0.
-
-    For RepA and b = full_v().basis (the identity) this is M_s itself.
-    """
-    if rep.kind == "a":
-        m_s = mult_matrix(rep, s)
-        return m_s if b is rep.full_v().basis else m_s.dot(b) % rep.field.p
-    return s[:, None] * b % rep.field.p
+    """Raw basis of s * (column span of b): ``rep.apply_mul`` under the one
+    name the callers (and a tracer wrapping this module) go through."""
+    return rep.apply_mul(s, b)
 
 
 def product(rep, s: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One product s*u as a V'-coordinate vector."""
     if s.shape[0] != rep.n or u.shape[0] != rep.n:
         raise DimensionMismatch("sections must have length N")
-    if rep.kind == "a":
-        return mult_matrix(rep, s).dot(u) % rep.field.p
-    return s * u % rep.field.p
+    return _apply_mul(rep, s, u[:, None])[:, 0]
 
 
 def simple_mul(rep, s: np.ndarray, w: Subspace) -> Subspace:
@@ -224,40 +268,17 @@ class ValidationReport:
 def validate_rep(rep) -> ValidationReport:
     """Consistency checks on a representation.
 
-    Covers dimension identities, table symmetry, and surjectivity of the
-    multiplication map.  Ideal-saturation/smoothness certification is out of
-    scope; a passing report means the data is consistent, not that it
-    provably comes from a smooth curve.
+    Covers the dimension identities, then the form's own checks
+    (``rep.add_checks``): table symmetry and surjectivity of the
+    multiplication map in table form, the rank of A_V and its left kernel
+    K_V in point-value form.  Ideal-saturation/smoothness certification is
+    out of scope; a passing report means the data is consistent, not that
+    it provably comes from a smooth curve.
     """
     report = ValidationReport()
     report.add("dim V = Delta + 1 - g", rep.delta == rep.Delta + 1 - rep.g,
                f"delta={rep.delta}")
     report.add("dim V' = 2*Delta + 1 - g", rep.delta_prime == 2 * rep.Delta + 1 - rep.g,
                f"delta_prime={rep.delta_prime}")
-    if rep.kind == "a":
-        sym = bool(np.array_equal(rep.tables, rep.tables.transpose(2, 1, 0)))
-        report.add("table symmetry c_ijk = c_jik", sym)
-        # surjectivity: the joint left kernel of all M_i must vanish; track
-        # it incrementally (it usually dies after a handful of tables)
-        p = rep.field.p
-        order = [0, rep.delta - 1] + list(range(1, rep.delta - 1))
-        kern = None
-        for i in order:
-            if kern is None:
-                kern = linalg.left_kernel_rows(rep.field, rep.tables[i])
-            else:
-                inside = linalg.left_kernel_rows(rep.field, kern.dot(rep.tables[i]) % p)
-                kern = inside.dot(kern) % p
-            if kern.shape[0] == 0:
-                break
-        report.add("multiplication map surjective", kern.shape[0] == 0,
-                   f"joint left kernel has dimension {kern.shape[0]}")
-    else:
-        report.add("N = 2*Delta + 1", rep.n == 2 * rep.Delta + 1, f"N={rep.n}")
-        report.add("rank A_V = delta",
-                   linalg.matrix_rank(rep.field, rep.a_v) == rep.delta)
-        report.add("K_V annihilates A_V",
-                   not np.count_nonzero(rep.k_v.dot(rep.a_v) % rep.field.p))
-        report.add("K_V has full row rank",
-                   linalg.matrix_rank(rep.field, rep.k_v) == rep.n - rep.delta)
+    rep.add_checks(report)
     return report

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
 from . import curverep, linalg
-from .linalg import Subspace
+from .linalg import DimensionMismatch, Subspace
 
 _LOOP_CAP = 200  # failure probability per attempt is <= 1/2; this is unreachable
 
@@ -121,26 +120,6 @@ def igs_size_h(Delta: int, deg_d: int, sigma_size: int) -> int:
     return 1 + _ceil_log(sigma_size, 2 * (Delta - deg_d))
 
 
-def igs_size_h_fq(g: int, dbar: int, q: int, eta) -> int:
-    """Candidate size for uniform draws from a full section space over F_q:
-    max(1 + ceil((2g-1)/(dbar-1)), 1 + ceil(log(6g/eta)/log q)).
-
-    Informational: valid only when sampling the whole space, not a subspace,
-    so the conversion routines here do not rely on it.
-    """
-    if g < 1 or dbar < 2:
-        raise ValueError("need g >= 1 and dbar >= 2")
-    eta = Fraction(eta)
-    if not 0 < eta < 1:
-        raise ValueError("eta must lie in (0, 1)")
-    first = 1 + -((-(2 * g - 1)) // (dbar - 1))
-    m, value = 0, Fraction(1)
-    while value * eta < 6 * g:
-        value *= q
-        m += 1
-    return max(first, 1 + m)
-
-
 def sigma_random_element(field, space: Subspace, rng) -> np.ndarray:
     """Sigma-random combination of the canonical basis of the space."""
     coeffs = np.array([rng.randrange(field.sigma_size) for _ in range(space.dim)],
@@ -195,10 +174,13 @@ def igs_for_v(rep, cubic: CubicData, rng, stats: RetryStats | None = None) -> Ig
     """Verified generating set for the zero divisor (Las Vegas).
 
     Verification needs the cubic level: the candidates generate V exactly
-    when their star-products with V' fill all of V''.
+    when their star-products with V' fill all of V''.  The cubic tables are
+    in table coordinates, so rep must be a form whose V has that ambient.
     """
-    if rep.kind != "a":
-        raise ValueError("igs_for_v runs on the multiplication-table form")
+    if rep.n != cubic.star_tables.shape[0]:
+        raise DimensionMismatch(
+            f"cubic tables take sections of length {cubic.star_tables.shape[0]},"
+            f" the representation has length {rep.n}")
     h = igs_size_h(rep.Delta, 0, rep.field.sigma_size)
     full = rep.full_v()
     for attempt in range(1, _LOOP_CAP + 1):

@@ -69,7 +69,6 @@ class BridgeInfo:
 
     curve: HyperellipticCurve
     monomials: tuple  # V-basis as (xdeg, ydeg, pole_order), sorted by pole
-    a_v: np.ndarray | None = None  # evaluation matrix for point-value form
 
 
 def make_curve(g: int, p: int, f, h=None) -> HyperellipticCurve:
@@ -186,47 +185,45 @@ class CurveBundle:
             self._cubic = CubicData(delta_pp, star)
         return self._cubic
 
-    def _monomial_space(self, rep, pole_bound: int) -> Subspace:
+    def _monomial_space(self, pole_bound: int) -> Subspace:
+        """Span of the V-monomials of pole order <= pole_bound, in table
+        coordinates (unit vectors, so the basis is canonical)."""
         cols = [j for j, (_, _, pole) in enumerate(self.v_monomials) if pole <= pole_bound]
-        if rep.kind == "a":
-            basis = linalg.zeros(self.field, rep.n, len(cols))
-            for k, j in enumerate(cols):
-                basis[j, k] = 1
-            return Subspace(self.field, rep.n, basis)
-        return linalg.column_echelon(self.field, rep.a_v[:, cols])
+        basis = linalg.zeros(self.field, len(self.v_monomials), len(cols))
+        for k, j in enumerate(cols):
+            basis[j, k] = 1
+        return Subspace(self.field, len(self.v_monomials), basis)
 
     def precomp(self, tag: str = "a", rng: RandomStream | None = None,
                 with_cubic: bool = True) -> tuple:
-        """(rep, LargeModelPrecomp) for the requested representation."""
+        """(rep, LargeModelPrecomp) for the requested representation.
+
+        The stored spaces W_D0, W_2D0 and the section s0 = 1 are spans of
+        monomials, mapped into the chosen form by ``rep.from_table_space``.
+        """
         if self.d is None:
             raise ValueError("this bundle has no large-model degree d")
+        cubic = sections = None
         if tag == "a":
             rep = self.rep_a
             cubic = self.cubic() if with_cubic else None
-            pre = LargeModelPrecomp(
-                d=self.d,
-                w_d0=self._monomial_space(rep, self.Delta - self.d),
-                w_2d0=self._monomial_space(rep, self.Delta - 2 * self.d),
-                s0=rep.full_v().basis[:, 0].copy(),
-                cubic=cubic)
-            return rep, pre
-        if tag == "b0":
+        elif tag == "b0":
             if self.rep_b0 is None:
                 raise ValueError("bundle has no point-value representation; run gen_rep_b0")
             rep = self.rep_b0
-            sections = None
             if with_cubic:
                 igs_rng = rng.split("igs-v") if rng else RandomStream("igs-v")
                 igs = divisors.igs_for_v(self.rep_a, self.cubic(), igs_rng)
                 sections = tuple(self.to_b0_vector(s) for s in igs.sections)
-            pre = LargeModelPrecomp(
-                d=self.d,
-                w_d0=self._monomial_space(rep, self.Delta - self.d),
-                w_2d0=self._monomial_space(rep, self.Delta - 2 * self.d),
-                s0=rep.a_v[:, 0].copy(),
-                defl_v_sections=sections)
-            return rep, pre
-        raise ValueError(f"unknown representation tag {tag!r}")
+        else:
+            raise ValueError(f"unknown representation tag {tag!r}")
+        pre = LargeModelPrecomp(
+            d=self.d,
+            w_d0=rep.from_table_space(self._monomial_space(self.Delta - self.d)),
+            w_2d0=rep.from_table_space(self._monomial_space(self.Delta - 2 * self.d)),
+            s0=rep.from_table_space(self._monomial_space(0)).basis[:, 0],
+            cubic=cubic, defl_v_sections=sections)
+        return rep, pre
 
     def large_model(self, rng: RandomStream, tag: str = "a",
                     compute_defl_v: bool = True) -> LargeModel:
@@ -242,8 +239,7 @@ class CurveBundle:
     def to_b0_space(self, space: Subspace) -> Subspace:
         if self.rep_b0 is None:
             raise ValueError("bundle has no point-value representation")
-        return linalg.column_echelon(
-            self.field, self.rep_b0.a_v.dot(space.basis) % self.field.p)
+        return self.rep_b0.from_table_space(space)
 
 
 def _random_f(g: int, p: int, rng: RandomStream) -> tuple:
@@ -366,7 +362,7 @@ def gen_rep_b0(bundle: CurveBundle, rng: RandomStream) -> CurveBundle:
     points = _affine_points(bundle.curve, rng, n)
     a_v = _value_matrix(bundle.curve, bundle.field, bundle.v_monomials, points)
     rep = RepB0(bundle.field, bundle.g, bundle.Delta, a_v, points,
-                bridge_info=BridgeInfo(bundle.curve, tuple(bundle.v_monomials), a_v))
+                bridge_info=BridgeInfo(bundle.curve, tuple(bundle.v_monomials)))
     report = validate_rep(rep)
     if not report.passed:
         raise InsufficientRationalPoints(
@@ -463,7 +459,7 @@ def load_bundle(path: str) -> CurveBundle:
             if len(points) != n:
                 raise MalformedFile(f"expected {n} evaluation points, got {len(points)}")
             bundle.rep_b0 = RepB0(field, g, Delta, a_v, points,
-                                  bridge_info=BridgeInfo(curve, tuple(v), a_v))
+                                  bridge_info=BridgeInfo(curve, tuple(v)))
         return bundle
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (MalformedFile, VersionMismatch)):

@@ -85,9 +85,25 @@ class LargeModel:
             if self._cubic is None:
                 raise InconsistentPrecomp(
                     "no cubic data available to produce a generating set for V")
-            rng = stream_from_bytes(self._salt.encode(), b"defl-v")
+            rng = self.content_stream("defl-v")
             self._defl_v = divisors.igs_for_v(self.rep, self._cubic, rng, self.stats)
         return self._defl_v
+
+    def content_stream(self, label: str, *spaces: Subspace) -> RandomStream:
+        """Stream keyed by this model's salt, a label and the spaces' bases."""
+        return stream_from_bytes(self._salt.encode(), label.encode(),
+                                 *(_space_bytes(s) for s in spaces))
+
+    def defl_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorBrief:
+        """Brief representation of a divisor, reusing the stored ones for
+        D_0 and 2*D_0; without rng, the draw is keyed by the divisor."""
+        if d.space == self.W_D0.space:
+            return self.defl_D0
+        if d.space == self.W_2D0.space:
+            return self.defl_2D0
+        if rng is None:
+            rng = self.content_stream("defl", d.space)
+        return divisors.deflate(self.rep, d, rng, self.stats)
 
 
 def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
@@ -142,23 +158,6 @@ def _space_bytes(space: Subspace) -> bytes:
     return b.shape[0].to_bytes(4, "big") + b.shape[1].to_bytes(4, "big") + b.tobytes()
 
 
-def _content_stream(model: LargeModel, label: str, *spaces: Subspace) -> RandomStream:
-    return stream_from_bytes(model._salt.encode(), label.encode(),
-                             *(_space_bytes(s) for s in spaces))
-
-
-def _defl_of(model: LargeModel, d: DivisorFull,
-             rng: RandomStream | None = None) -> DivisorBrief:
-    """Brief representation of a divisor, reusing the stored ones for D_0, 2*D_0."""
-    if d.space == model.W_D0.space:
-        return model.defl_D0
-    if d.space == model.W_2D0.space:
-        return model.defl_2D0
-    if rng is None:
-        rng = _content_stream(model, "defl", d.space)
-    return divisors.deflate(model.rep, d, rng, model.stats)
-
-
 def equal_class(model: LargeModel, x: JacobianPoint, y: JacobianPoint) -> bool:
     """Whether x and y are the same divisor class.
 
@@ -173,7 +172,7 @@ def equal_class(model: LargeModel, x: JacobianPoint, y: JacobianPoint) -> bool:
         return True
     rep = model.rep
     s = x.space.basis[:, 0].copy()
-    defl_x = _defl_of(model, x.divisor)
+    defl_x = model.defl_of(x.divisor)
     s_we = curverep._apply_mul(rep, s, y.space.basis)
     return curverep.divide_is_nonzero(rep, s_we, defl_x.sections)
 
@@ -210,10 +209,9 @@ def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     _require(model, x, LARGE)
     _require(model, y, LARGE)
     rep = model.rep
-    d_tilde = divisors.flip(rep, x.divisor, rng,
-                            defl=_defl_of(model, x.divisor, rng))
+    d_tilde = divisors.flip(rep, x.divisor, rng, defl=model.defl_of(x.divisor, rng))
     s = y.space.basis[:, 0].copy()
-    defl_e = _defl_of(model, y.divisor, rng)
+    defl_e = model.defl_of(y.divisor, rng)
     raw = curverep._apply_mul(rep, s, d_tilde.space.basis)
     out = divisors.divisor_from_space(
         rep, curverep.divide_raw(rep, raw, defl_e.sections))

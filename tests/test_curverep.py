@@ -169,15 +169,6 @@ def b0_bundle():
     return ja.gen_rep_b0(bundle, ja.RandomStream("b0-points"))
 
 
-def test_repb0_mult_matrix_diagonal(b0_bundle):
-    rep = b0_bundle.rep_b0
-    rng = ja.RandomStream("diag")
-    s = np.array([rng.randrange(rep.field.p) for _ in range(rep.n)], dtype=np.int64)
-    m = ja.mult_matrix(rep, s)
-    assert np.array_equal(np.diag(m), s)
-    assert not np.count_nonzero(m - np.diag(np.diag(m)))
-
-
 def test_repb0_product_is_pointwise(b0_bundle):
     rep = b0_bundle.rep_b0
     cols = {(xd, yd): j for j, (xd, yd, _) in enumerate(b0_bundle.v_monomials)}

@@ -16,18 +16,6 @@ def test_igs_size_h_values():
         ja.igs_size_h(12, 4, 1)
 
 
-def test_igs_size_h_fq_values():
-    from fractions import Fraction
-    assert ja.igs_size_h_fq(1, 2, 2, Fraction(1, 2)) == 5
-    assert ja.igs_size_h_fq(5, 20, 1009, Fraction(1, 2)) == 2
-    # with eta near 1 and q large the first branch dominates
-    assert ja.igs_size_h_fq(7, 3, 10**6, Fraction(99, 100)) == 1 + 7
-    with pytest.raises(ValueError):
-        ja.igs_size_h_fq(0, 2, 2, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        ja.igs_size_h_fq(1, 2, 2, Fraction(3, 2))
-
-
 def _bridged(bundle, model, label, i):
     m = ja.random_mumford(bundle.curve, ja.RandomStream(label).split(i))
     return ja.mumford_to_point(model, m).divisor
@@ -116,6 +104,16 @@ def test_igs_for_v(bundle_g2):
     assert not divisors.verify_igs_v(rep, cubic, (t1,))
     extra = divisors.sigma_random_element(rep.field, rep.full_v(), ja.RandomStream("x"))
     assert divisors.verify_igs_v(rep, cubic, igs.sections + (extra,))
+
+
+def test_igs_for_v_rejects_sections_the_cubic_tables_cannot_take():
+    # the cubic tables are in table coordinates; point-value sections have
+    # length N = 2*Delta + 1, not delta
+    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(1, 1009, rng=ja.RandomStream("igsv-b0")),
+                           ja.RandomStream("igsv-b0-pts"))
+    with pytest.raises(ja.DimensionMismatch) as err:
+        ja.igs_for_v(bundle.rep_b0, bundle.cubic(), ja.RandomStream("igsv"))
+    assert isinstance(err.value, ValueError)
 
 
 def test_flip_degree_and_dimension_laws(bundle_g2, model_g2):

@@ -112,7 +112,7 @@ def test_small_large_variants_agree(bundle_g2, model_g2):
         as_large = jacobian.JacobianPoint(
             ja.LARGE,
             divisors.flip(model_g2.rep, neg_small.divisor, rng.split(f"f{i}"),
-                          defl=jacobian._defl_of(model_g2, neg_small.divisor)))
+                          defl=model_g2.defl_of(neg_small.divisor)))
         assert ja.equal_class(model_g2, as_large, large)
 
 
