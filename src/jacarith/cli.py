@@ -284,32 +284,30 @@ def cmd_verify(args) -> int:
     return 0 if report.flush() else 1
 
 
-OPS = ("addflip-large", "addflip-small", "equal", "flip")
+# op name -> (size tag of its operands, call on model, x, y, stream)
+OPS = {
+    "addflip-large": (LARGE, lambda m, x, y, r: jacobian.addflip_large(m, x, y, r)),
+    "addflip-small": (SMALL, lambda m, x, y, r: jacobian.addflip_small(m, x, y, r)),
+    "equal": (SMALL, lambda m, x, y, r: jacobian.equal_class(m, x, y)),
+    "flip": (SMALL, lambda m, x, y, r: divisors.flip(m.rep, x.divisor, r, stats=m.stats)),
+}
 
 
 def _time_op(model, op: str, pts, rng: RandomStream, trials: int) -> list:
+    call = OPS[op][1]
     times = []
     for i in range(trials):
         x, y = pts[2 * i], pts[2 * i + 1]
         r = rng.split(f"op{i}")
         t0 = time.perf_counter_ns()
-        if op == "addflip-large":
-            jacobian.addflip_large(model, x, y, r)
-        elif op == "addflip-small":
-            jacobian.addflip_small(model, x, y, r)
-        elif op == "equal":
-            jacobian.equal_class(model, x, y)
-        else:
-            divisors.flip(model.rep, x.divisor, r, stats=model.stats)
+        call(model, x, y, r)
         times.append(time.perf_counter_ns() - t0)
     return times
 
 
 def cmd_scale(args) -> int:
     genera = [int(tok) for tok in args.genus_list.split(",") if tok]
-    tag = SMALL if args.op in ("addflip-small", "equal", "flip") else LARGE
-    if args.op == "equal":
-        tag = SMALL
+    tag = OPS[args.op][0]
     rows = []
     for g in genera:
         rng = RandomStream(args.seed).split(f"g{g}")

@@ -28,7 +28,7 @@ from .jacobian import LargeModel, LargeModelPrecomp, make_large_model
 from .linalg import Subspace
 
 BUNDLE_FORMAT = "curve-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 _SMOOTHNESS_RETRIES = 200
 
@@ -90,10 +90,6 @@ def make_curve(g: int, p: int, f, h=None) -> HyperellipticCurve:
         if not poly.is_squarefree(f, p):
             raise SingularCurve("f has a repeated root; the curve is singular")
     return HyperellipticCurve(g, p, f, h)
-
-
-def pole_order(curve: HyperellipticCurve, xdeg: int, ydeg: int) -> int:
-    return 2 * xdeg + ydeg * (2 * curve.g + 1)
 
 
 def basis_monomials(curve: HyperellipticCurve, bound: int) -> list:
@@ -251,7 +247,8 @@ def _random_f(g: int, p: int, rng: RandomStream) -> tuple:
 
 
 def build_rep_a(curve: HyperellipticCurve, field: PrimeField, Delta: int) -> tuple:
-    """(RepA, V-monomials) for the line bundle of degree Delta at infinity."""
+    """(RepA, V-monomials) for the line bundle of degree Delta at infinity,
+    checked by ``validate_rep``.  Generation and file loading both come here."""
     v = basis_monomials(curve, Delta)
     vp = basis_monomials(curve, 2 * Delta)
     g = curve.g
@@ -260,6 +257,10 @@ def build_rep_a(curve: HyperellipticCurve, field: PrimeField, Delta: int) -> tup
     tables = _build_tables(curve, field, v, v, vp)
     rep = RepA(field, g, Delta, tables,
                bridge_info=BridgeInfo(curve, tuple(v)))
+    report = validate_rep(rep)
+    if not report.passed:
+        raise SingularCurve(
+            f"tables built from the curve failed validation: {report.failures()}")
     return rep, v
 
 
@@ -280,9 +281,6 @@ def gen_hyperelliptic(g: int, p: int, f=None, rng: RandomStream | None = None,
     Delta = 3 * d
     curve = make_curve(g, p, f if f is not None else _random_f(g, p, rng))
     rep, v = build_rep_a(curve, field, Delta)
-    report = validate_rep(rep)
-    if not report.passed:
-        raise SingularCurve(f"generated tables failed validation: {report.failures()}")
     return CurveBundle(curve, field, Delta, d, rep, v)
 
 
@@ -301,6 +299,11 @@ def gen_paper_fixture(p: int = 1009) -> CurveBundle:
     return CurveBundle(curve, field, 4, None, rep, v)
 
 
+def _on_curve(curve: HyperellipticCurve, x: int, y: int) -> bool:
+    p = curve.p
+    return (y * y + poly.evaluate(curve.h, x, p) * y - poly.evaluate(curve.f, x, p)) % p == 0
+
+
 def _affine_points(curve: HyperellipticCurve, rng: RandomStream, count: int) -> list:
     """Distinct affine rational points, order seeded by the stream."""
     p = curve.p
@@ -309,10 +312,7 @@ def _affine_points(curve: HyperellipticCurve, rng: RandomStream, count: int) -> 
         xs = [0, 1]
         rng.shuffle(xs)
         for x in xs:
-            fx = poly.evaluate(curve.f, x, p)
-            for y in (0, 1):
-                if (y * y + poly.evaluate(curve.h, x, p) * y - fx) % p == 0:
-                    points.append((x, y))
+            points += [(x, y) for y in (0, 1) if _on_curve(curve, x, y)]
     else:
         xs = list(range(p)) if p <= 1 << 16 else None
         if xs is not None:
@@ -352,17 +352,15 @@ def _value_matrix(curve: HyperellipticCurve, field: PrimeField,
     return a
 
 
-def gen_rep_b0(bundle: CurveBundle, rng: RandomStream) -> CurveBundle:
-    """Attach a point-value representation at N = 2*Delta + 1 affine points.
+def _attach_rep_b0(bundle: CurveBundle, points: list, rng: RandomStream) -> CurveBundle:
+    """Attach the point-value representation at the given points.
 
-    Cross-checks that evaluation intertwines the two multiplication rules
-    before returning.
+    Checks the value matrix with ``validate_rep``, then cross-checks that
+    evaluation intertwines the two multiplication rules.
     """
-    n = 2 * bundle.Delta + 1
-    points = _affine_points(bundle.curve, rng, n)
     a_v = _value_matrix(bundle.curve, bundle.field, bundle.v_monomials, points)
     rep = RepB0(bundle.field, bundle.g, bundle.Delta, a_v, points,
-                bridge_info=BridgeInfo(bundle.curve, tuple(bundle.v_monomials)))
+                bridge_info=bundle.rep_a.bridge_info)
     report = validate_rep(rep)
     if not report.passed:
         raise InsufficientRationalPoints(
@@ -383,14 +381,26 @@ def gen_rep_b0(bundle: CurveBundle, rng: RandomStream) -> CurveBundle:
     return bundle
 
 
+def gen_rep_b0(bundle: CurveBundle, rng: RandomStream) -> CurveBundle:
+    """Attach a point-value representation at N = 2*Delta + 1 affine points."""
+    points = _affine_points(bundle.curve, rng, 2 * bundle.Delta + 1)
+    return _attach_rep_b0(bundle, points, rng)
+
+
 # ---------------------------------------------------------------------------
-# Bundle files: JSON with explicit tables so the file alone defines the rep.
+# Bundle files: JSON holding the curve and, for the point-value form, its
+# evaluation points.  Tables and value matrices are functions of these, so
+# loading rebuilds them through the generators' own checked path, and no
+# stored table can disagree with the curve.
 # ---------------------------------------------------------------------------
 
 
 def save_bundle(bundle: CurveBundle, path: str, rep: str = "a") -> None:
     if rep == "b0" and bundle.rep_b0 is None:
         raise ValueError("bundle has no point-value representation to save")
+    points = None
+    if bundle.rep_b0 is not None:
+        points = [[int(x), int(y)] for x, y in bundle.rep_b0.points]
     doc = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -400,38 +410,32 @@ def save_bundle(bundle: CurveBundle, path: str, rep: str = "a") -> None:
         "d": bundle.d,
         "rep": rep,
         "curve": {"f": list(bundle.curve.f), "h": list(bundle.curve.h)},
-        "tables": {
-            "shape": list(bundle.rep_a.tables.shape),
-            "entries": bundle.rep_a.tables.reshape(-1).tolist(),
-        },
-        "rep_b0": None,
+        "points": points,
     }
-    if bundle.rep_b0 is not None:
-        doc["rep_b0"] = {
-            "points": [[int(x), int(y)] for x, y in bundle.rep_b0.points],
-            "a_v": {
-                "shape": list(bundle.rep_b0.a_v.shape),
-                "entries": bundle.rep_b0.a_v.reshape(-1).tolist(),
-            },
-        }
-    # one dumps call: json.dump writes each list item separately, which is
-    # several times slower; the bytes are the same (default=int catches any
-    # numpy integer left in an object array)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, default=int))
+        json.dump(doc, fh)
         fh.write("\n")
 
 
-def _load_array(field: PrimeField, spec, expected_shape) -> np.ndarray:
-    shape = tuple(spec["shape"])
-    entries = spec["entries"]
-    if shape != tuple(expected_shape) or len(entries) != int(np.prod(shape)):
-        raise MalformedFile(f"array has shape {shape}, expected {tuple(expected_shape)}")
-    flat = np.array(entries, dtype=linalg.dtype_for(field)) % field.p
-    return flat.reshape(shape)
+def _checked_points(curve: HyperellipticCurve, raw, count: int) -> list:
+    """Stored evaluation points: exactly ``count`` distinct affine points of
+    the curve with coordinates in [0, p)."""
+    points = [(x, y) for x, y in raw]
+    if len(points) != count:
+        raise MalformedFile(f"expected {count} evaluation points, got {len(points)}")
+    if len(set(points)) != count:
+        raise MalformedFile("evaluation points are not distinct")
+    for x, y in points:
+        if not all(isinstance(c, int) and 0 <= c < curve.p for c in (x, y)):
+            raise MalformedFile(f"point ({x}, {y}) has a coordinate outside [0, {curve.p})")
+        if not _on_curve(curve, x, y):
+            raise MalformedFile(f"point ({x}, {y}) is not on the curve")
+    return points
 
 
 def load_bundle(path: str) -> CurveBundle:
+    """Read a bundle file and rebuild its representations from the curve
+    and the stored points, with the checks generation runs."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -441,27 +445,21 @@ def load_bundle(path: str) -> CurveBundle:
         if doc.get("format") != BUNDLE_FORMAT:
             raise MalformedFile("not a curve-bundle file")
         if doc.get("version") != BUNDLE_VERSION:
-            raise VersionMismatch(f"unsupported bundle version {doc.get('version')}")
+            raise VersionMismatch(
+                f"unsupported bundle version {doc.get('version')} (expected"
+                f" {BUNDLE_VERSION}); regenerate the file with `jacarith gen`")
         p, g, Delta, d = doc["p"], doc["g"], doc["Delta"], doc["d"]
+        if d is not None and Delta != 3 * d:
+            raise MalformedFile(f"Delta = {Delta} is not 3d for d = {d}")
         field = make_prime_field(p)
         curve = make_curve(g, p, doc["curve"]["f"], doc["curve"]["h"] or None)
-        delta = Delta + 1 - g
-        delta_prime = 2 * Delta + 1 - g
-        tables = _load_array(field, doc["tables"], (delta, delta_prime, delta))
-        v = basis_monomials(curve, Delta)
-        rep = RepA(field, g, Delta, tables, bridge_info=BridgeInfo(curve, tuple(v)))
+        rep, v = build_rep_a(curve, field, Delta)
         bundle = CurveBundle(curve, field, Delta, d, rep, v)
-        if doc.get("rep_b0"):
-            b0 = doc["rep_b0"]
-            n = 2 * Delta + 1
-            a_v = _load_array(field, b0["a_v"], (n, delta))
-            points = [(int(x), int(y)) for x, y in b0["points"]]
-            if len(points) != n:
-                raise MalformedFile(f"expected {n} evaluation points, got {len(points)}")
-            bundle.rep_b0 = RepB0(field, g, Delta, a_v, points,
-                                  bridge_info=BridgeInfo(curve, tuple(v)))
+        if doc["points"] is not None:
+            points = _checked_points(curve, doc["points"], 2 * Delta + 1)
+            _attach_rep_b0(bundle, points, RandomStream("load-cross-check"))
         return bundle
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (MalformedFile, VersionMismatch)):
             raise
         raise MalformedFile(f"bundle file is missing or corrupts fields: {exc}") from exc

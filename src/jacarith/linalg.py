@@ -42,21 +42,6 @@ def identity(field: PrimeField, n: int) -> np.ndarray:
     return np.eye(n, dtype=dtype_for(field))
 
 
-def random_matrix(field: PrimeField, m: int, n: int, rng) -> np.ndarray:
-    a = np.empty((m, n), dtype=dtype_for(field))
-    for i in range(m):
-        for j in range(n):
-            a[i, j] = rng.randrange(field.p)
-    return a
-
-
-def random_invertible(field: PrimeField, n: int, rng) -> np.ndarray:
-    while True:
-        a = random_matrix(field, n, n, rng)
-        if matrix_rank(field, a) == n:
-            return a
-
-
 def mat_mul(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
@@ -143,10 +128,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def zero_subspace(field: PrimeField, ambient: int) -> Subspace:
-    return Subspace(field, ambient, zeros(field, ambient, 0))
 
 
 def full_subspace(field: PrimeField, ambient: int) -> Subspace:

@@ -165,20 +165,6 @@ def random_monic(degree: int, p: int, rng: RandomStream) -> Poly:
     return tuple(cs)
 
 
-def interpolate(points: list[tuple[int, int]], p: int) -> Poly:
-    """Lagrange interpolation through distinct x values."""
-    out = ZERO
-    for i, (xi, yi) in enumerate(points):
-        num, den = ONE, 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = mul(num, (-xj % p, 1), p)
-            den = den * (xi - xj) % p
-        out = add(out, scale(num, yi * pow(den, -1, p) % p, p), p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Factorization over F_p (squarefree / distinct-degree / equal-degree).
 # Only used on the small-degree u polynomials of Mumford representations.

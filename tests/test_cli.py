@@ -1,5 +1,6 @@
 import json
 
+from jacarith import curverep
 from jacarith.cli import main
 
 
@@ -104,19 +105,34 @@ def test_b0_suite_through_cli(tmp_path, capsys):
     assert all(r["pass"] for r in rows)
 
 
-def test_corrupted_table_is_a_failed_report_not_a_traceback(tmp_path, capsys):
+def test_off_curve_point_is_refused_at_load(tmp_path, capsys):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    assert main(["gen", "--genus", "2", "--prime", "1009", "--seed", "7",
-                 "--out", str(good)]) == 0
+    assert main(["gen", "--genus", "1", "--prime", "1009", "--seed", "7",
+                 "--rep", "b0", "--out", str(good)]) == 0
     capsys.readouterr()
     data = json.loads(good.read_text())
-    assert data["tables"]["entries"][0] == 1  # the product 1*1
-    data["tables"]["entries"][0] = 5
+    x, y = data["points"][0]
+    data["points"][0] = [x, next(t for t in range(1009) if t * t % 1009 != y * y % 1009)]
     bad.write_text(json.dumps(data))
     code, rows, err = _run(capsys, "verify", "--bundle", str(bad),
+                           "--suite", "oracle", "--trials", "2", "--seed", "1",
+                           "--rep", "b0")
+    assert code == 2
+    assert rows == []
+    assert "not on the curve" in err and "Traceback" not in err
+
+
+def test_engine_abort_is_a_failed_report_not_a_traceback(tmp_path, capsys, monkeypatch):
+    bundle = tmp_path / "c.json"
+    assert main(["gen", "--genus", "2", "--prime", "1009", "--seed", "7",
+                 "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    # a division that returns all of V breaks the flip degree law
+    monkeypatch.setattr(curverep, "divide_raw", lambda rep, basis, sections: rep.full_v())
+    code, rows, err = _run(capsys, "verify", "--bundle", str(bundle),
                            "--suite", "oracle", "--trials", "2", "--seed", "1")
     assert code == 1
     assert "Traceback" not in err
     assert [r["case"] for r in rows] == ["aborted"]
     assert rows[0]["pass"] is False and rows[0]["suite"] == "oracle"
-    assert rows[0]["details"]["error"] in ("LasVegasExhausted", "DegreeLawViolation")
+    assert rows[0]["details"]["error"] == "DegreeLawViolation"

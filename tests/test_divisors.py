@@ -32,7 +32,8 @@ def test_random_candidate_deterministic(bundle_g2, model_g2):
 
 def test_random_candidate_empty_space(bundle_g2):
     rep = bundle_g2.rep_a
-    empty = divisors.divisor_from_space(rep, linalg.zero_subspace(rep.field, rep.n))
+    zero = linalg.Subspace(rep.field, rep.n, linalg.zeros(rep.field, rep.n, 0))
+    empty = divisors.divisor_from_space(rep, zero)
     with pytest.raises(ja.EmptySpace):
         ja.random_igs_candidate(rep, empty, ja.RandomStream(0))
 

@@ -107,23 +107,72 @@ def test_save_load_roundtrip_b0(tmp_path):
     assert np.array_equal(back.rep_b0.a_v, bundle.rep_b0.a_v)
 
 
-def test_load_malformed(tmp_path, bundle_g1):
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+def test_saved_file_holds_the_curve_not_tables(tmp_path, p):
+    bundle = ja.gen_hyperelliptic(1, p, rng=ja.RandomStream(f"v2-{p}"))
+    ja.gen_rep_b0(bundle, ja.RandomStream(f"v2-pts-{p}"))
+    path, path2 = tmp_path / "one.json", tmp_path / "two.json"
+    ja.save_bundle(bundle, str(path), rep="b0")
+    doc = json.loads(path.read_text())
+    assert "tables" not in doc
+    assert set(doc) == {"format", "version", "p", "g", "Delta", "d", "rep", "curve", "points"}
+    back = ja.load_bundle(str(path))
+    assert back.rep_a.tables.dtype == bundle.rep_a.tables.dtype
+    assert np.array_equal(back.rep_a.tables, bundle.rep_a.tables)
+    assert np.array_equal(back.rep_b0.a_v, bundle.rep_b0.a_v)
+    ja.save_bundle(back, str(path2), rep="b0")
+    assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def b0_g1():
+    bundle = ja.gen_hyperelliptic(1, 1009, rng=ja.RandomStream("tamper"))
+    return ja.gen_rep_b0(bundle, ja.RandomStream("tamper-pts"))
+
+
+def _off_curve(doc):
+    p = doc["p"]
+    x, y = doc["points"][0]  # y^2 = f(x)
+    doc["points"][0] = [x, next(t for t in range(p) if t * t % p != y * y % p)]
+
+
+def _duplicate(doc):
+    doc["points"][1] = doc["points"][0]
+
+
+def _out_of_range(doc):
+    doc["points"][0][0] += doc["p"]
+
+
+def _square_factor(doc):
+    doc["curve"]["f"] = [0, 0, 0, 1]  # x^3
+
+
+TAMPERED = [
+    (lambda doc: doc["points"].pop(), ja.MalformedFile, "evaluation points"),
+    (_off_curve, ja.MalformedFile, "not on the curve"),
+    (_duplicate, ja.MalformedFile, "not distinct"),
+    (_out_of_range, ja.MalformedFile, "outside"),
+    (_square_factor, ja.MalformedFile, "repeated root"),
+    (lambda doc: doc.update(d=doc["d"] + 1), ja.MalformedFile, "3d"),
+    (lambda doc: doc.update(version=1), ja.VersionMismatch, "jacarith gen"),
+    (lambda doc: doc.update(version=99), ja.VersionMismatch, "jacarith gen"),
+]
+
+
+def test_load_malformed(tmp_path, b0_g1):
     path = tmp_path / "x.json"
-    path.write_text("{ not json")
-    with pytest.raises(ja.MalformedFile):
-        ja.load_bundle(str(path))
-    ja.save_bundle(bundle_g1, str(path))
-    doc = json.loads(path.read_text())
-    doc["tables"]["entries"] = doc["tables"]["entries"][:-5]  # truncate
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ja.MalformedFile):
-        ja.load_bundle(str(path))
-    ja.save_bundle(bundle_g1, str(path))
-    doc = json.loads(path.read_text())
-    doc["version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ja.VersionMismatch):
-        ja.load_bundle(str(path))
+    for text in ("{ not json", "[]"):
+        path.write_text(text)
+        with pytest.raises(ja.MalformedFile):
+            ja.load_bundle(str(path))
+    for change, error, message in TAMPERED:
+        ja.save_bundle(b0_g1, str(path), rep="b0")
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=message):
+            ja.load_bundle(str(path))
 
 
 def test_loaded_bundle_runs_group_law(tmp_path, bundle_g1):

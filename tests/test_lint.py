@@ -6,6 +6,9 @@
   ``module._name`` or as ``from .module import _name``.  The one exception
   is ``curverep._apply_mul``, the named entry point for multiplying a basis
   by a section, which a tracer can wrap.
+* Every public module-level function is referenced by engine code other
+  than its own definition, or re-exported by ``__init__.py``: a helper that
+  only tests call belongs in the tests.
 """
 
 import ast
@@ -70,3 +73,36 @@ def test_rules_catch_what_they_describe(tmp_path):
     assert [v.split(": ", 1)[1] for v in violations(bad)] == [
         "from .linalg import _eliminate", "assert statement",
         "jacobian._space_bytes", "cr._division_stack"]
+
+
+def uncalled_functions(paths) -> list:
+    """Public module-level functions that no engine code references and
+    ``__init__.py`` does not re-export."""
+    defined, used = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                used.update(alias.name for alias in node.names)
+    return [f"{path.name}: {name}" for path, name in defined if name not in used]
+
+
+def test_every_public_function_has_a_caller():
+    assert uncalled_functions(MODULES) == []
+
+
+def test_caller_rule_catches_what_it_describes(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text("def exported():\n    pass\n\n\n"
+                                   "def called():\n    pass\n\n\n"
+                                   "def orphan():\n    return called()\n\n\n"
+                                   "def _private():\n    pass\n")
+    (tmp_path / "b.py").write_text("from . import a\n\n\n"
+                                   "class K:\n    def method(self):\n        return a.x\n")
+    assert uncalled_functions(sorted(tmp_path.glob("*.py"))) == ["a.py: orphan"]

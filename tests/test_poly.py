@@ -93,13 +93,6 @@ def test_crt():
     assert poly.mod(v, m2, P) == poly.trim(r2)
 
 
-def test_interpolate():
-    pts = [(1, 5), (2, 9), (7, 0)]
-    f = poly.interpolate(pts, P)
-    assert all(poly.evaluate(f, x, P) == y for x, y in pts)
-    assert poly.deg(f) <= 2
-
-
 def test_squarefree_detection():
     assert poly.is_squarefree((1, 0, 0, 1), P)       # x^3 + 1
     assert not poly.is_squarefree((0, 0, 0, 1), P)   # x^3

@@ -21,8 +21,8 @@ import pytest
 import jacarith as ja
 
 RECORDED = {
-    1009: "79c4c7c85cd7dd8336f1307604f69c60b66896b7fe56f951aca8e2fadc503ceb",
-    2**31 - 1: "15aeb71cc25430722385144eb04e15db2d52ea7718449f7376ebdea9c9068ea8",
+    1009: "3dd9ec62d4453c3eb41f8b30bf43a50c9a63693fd00d469888639da04018bd47",
+    2**31 - 1: "380a04445ac785e71fb3560177348abdce91a782f068beeb8d45841a3574c611",
 }
 
 
