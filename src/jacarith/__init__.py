@@ -8,10 +8,9 @@ Mumford/Cantor oracle, and a benchmarking CLI.
 """
 
 from .field import (CompositeModulus, DivisionByZero, PrimeField, RandomStream,
-                    is_probable_prime, make_prime_field, sample_sigma)
+                    is_probable_prime, make_prime_field)
 from .linalg import (DimensionMismatch, Subspace, column_echelon, kernel_basis,
-                     mat_mul, subspace_contains, subspace_equal,
-                     subspace_intersect, subspace_sum)
+                     mat_mul)
 from .curverep import (AllZeroSections, RepA, RepB0, ZeroSection, divide,
                        mult_matrix, product, simple_mul, sum_of_products,
                        validate_rep)

@@ -162,10 +162,7 @@ def mumford_to_point(model: LargeModel, m: MumfordDivisor,
 
     if tag == LARGE:
         small = mumford_to_point(model, cantor_negate(curve, m), SMALL)
-        rng = model.content_stream("bridge-large", small.space)
-        flipped = divisors.flip(rep, small.divisor, rng,
-                                defl=model.defl_of(small.divisor), stats=model.stats)
-        return JacobianPoint(LARGE, flipped)
+        return JacobianPoint(LARGE, model.flip_of(small.divisor))
     if tag != SMALL:
         raise jacobian.TagMismatch(f"unknown size tag {tag!r}")
     out = semireduced_space(model, m.u, m.v, model.d)

@@ -25,7 +25,18 @@ kernel C comes back as E*C.  No re-echelon is needed, because E*C is already
 canonical: if E has pivot rows r_1 < ... < r_delta and C pivot rows
 c_1 < ... < c_d, column k of E*C starts with a 1 at row r_{c_k}, and row
 r_{c_j} of E*C is row c_j of C, i.e. the unit vector e_j.  In ``RepA`` E is
-the identity and E*C is C.
+the identity and E*C is C.  The argument holds for any canonical E, so it
+also covers W*C for any canonical subspace W.
+
+Own-section division.  When the generating set (s, t_2, ..., t_h) starts
+with the dividend's own section s != 0, then
+(s*W)/{s, t_2, ..., t_h} = {u in W : t_i*u in s*W}, because s*u lies in s*W
+exactly when u lies in W.  With K the left kernel of s*W, the quotient is
+W*C for C the canonical kernel of the stacked blocks K*(t_i*W): dim W
+columns, and no block for s (it would be K*(s*W) = 0).  The same blocks
+side by side have rank dim(s*W + t_2*W + ... + t_h*W) - dim W, which for
+W = V is the codimension test of a generating set, so a flip can verify its
+candidate and divide on one K.
 
 Everything downstream (divisor representations, group operations) is built
 from four primitives on these encodings: single products, simple
@@ -232,11 +243,33 @@ def divide_raw(rep, wp_basis: np.ndarray, sections) -> Subspace:
     return rep.from_v_coords(linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections)))
 
 
-def divide_is_nonzero(rep, wp_basis: np.ndarray, sections) -> bool:
-    """Whether the division result has positive dimension (rank test only)."""
-    kw = linalg.left_kernel_rows(rep.field, wp_basis)
-    stack = _division_stack(rep, kw, sections)
-    return linalg.matrix_rank(rep.field, stack) < rep.delta
+def own_blocks(rep, w: Subspace, sections, kw: np.ndarray | None = None) -> list[np.ndarray]:
+    """The constraint blocks K*(t_i*W) of dividing s*W by (s, t_2, ..., t_h),
+    s = sections[0], one block per nonzero t_i.  K is kw when given (rows
+    spanning the left kernel of s*W), else it is built here."""
+    if kw is None:
+        if not np.count_nonzero(sections[0]):
+            raise ZeroSection("own-section division needs a nonzero first section")
+        kw = linalg.left_kernel_rows(rep.field, _apply_mul(rep, sections[0], w.basis))
+    return [kw.dot(_apply_mul(rep, t, w.basis)) % rep.field.p
+            for t in sections[1:] if np.count_nonzero(t)]
+
+
+def divide_own(rep, w: Subspace, blocks) -> Subspace:
+    """Canonical basis of (s*W)/{s, t_2, ..., t_h} = {u in W : t_i*u in s*W}
+    from its ``own_blocks``: W*C, C the canonical kernel of the stacked
+    blocks (canonical by the E*C lemma in the module docstring)."""
+    c = linalg.kernel_basis(rep.field, _stacked(rep, w, blocks))
+    return Subspace(rep.field, w.ambient, w.basis.dot(c.basis) % rep.field.p)
+
+
+def divide_own_is_nonzero(rep, w: Subspace, blocks) -> bool:
+    """Whether ``divide_own`` would return a nonzero space: rank < dim W."""
+    return linalg.matrix_rank(rep.field, _stacked(rep, w, blocks)) < w.dim
+
+
+def _stacked(rep, w: Subspace, blocks) -> np.ndarray:
+    return np.vstack(blocks) if blocks else linalg.zeros(rep.field, 0, w.dim)
 
 
 @dataclass

@@ -145,7 +145,10 @@ def is_igs(rep, brief: DivisorBrief, expected_codim: int) -> bool:
     """Whether the sections generate exactly a divisor of the expected degree.
 
     The sum of products s_1*V + ... + s_h*V always lands inside W'_D, so for
-    2g-1 <= deg D the test reduces to comparing codimensions in V'.
+    2g-1 <= deg D the test reduces to comparing codimensions in V'.  A flip
+    at the first section s makes the same test on its own blocks instead:
+    with K the left kernel of s*V, the blocks K*(t_i*V) side by side have
+    rank Delta - deg D exactly when the codimension is deg D (see ``flip``).
     """
     dim = curverep.sum_of_products_dim(rep, brief.sections, rep.full_v())
     return rep.delta_prime - dim == expected_codim
@@ -156,12 +159,19 @@ def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None) -> Diviso
     if not 2 * rep.g - 1 <= d.degree <= rep.Delta - 2 * rep.g:
         raise PreconditionDegree(
             f"deflation needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
+    return _first_accepted(rep, d, rng, stats,
+                           lambda brief: brief if is_igs(rep, brief, d.degree) else None)
+
+
+def _first_accepted(rep, d: DivisorFull, rng, stats: RetryStats | None, accept):
+    """The deflation loop: draw candidates for D until ``accept`` maps one to
+    a result other than None, and record the attempts taken."""
     for attempt in range(1, _LOOP_CAP + 1):
-        brief = random_igs_candidate(rep, d, rng)
-        if is_igs(rep, brief, d.degree):
+        out = accept(random_igs_candidate(rep, d, rng))
+        if out is not None:
             if stats is not None:
                 stats.record(attempt)
-            return brief
+            return out
     raise LasVegasExhausted("deflation failed repeatedly; data is likely inconsistent")
 
 
@@ -209,22 +219,59 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
     """Complementary divisor: for s in W_D with (s) = D + E, compute W_E.
 
     The result satisfies deg E = Delta - deg D; the flip is computed as the
-    division of s*V by a brief representation of D.
+    division of s*V by a brief representation of D.  When that brief form
+    starts with s, the division is the own-section one (``curverep``):
+    W_E = {u in V : t_i*u in s*V}.  At the default s, W_D's first canonical
+    column, which heads every candidate ``igs_candidate`` draws, and without
+    a given brief form, deflation and division are fused: K, the left kernel
+    of s*V, is built once; per candidate (drawn as ``deflate`` draws them)
+    the blocks K*(t_i*V) side by side have rank Delta - deg D exactly when
+    ``is_igs`` accepts, and their stacked kernel is the flip.  For h = 2 the
+    one kernel gives both.  Any other s divides s*V by a deflation of D.
     """
     if not 2 * rep.g - 1 <= d.degree <= rep.Delta - 2 * rep.g:
         raise PreconditionDegree(
             f"flip needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
+    if d.space.dim == 0:
+        raise EmptySpace("cannot flip the zero space")
+    first = d.space.basis[:, 0]
     if s is None:
-        if d.space.dim == 0:
-            raise EmptySpace("cannot flip the zero space")
-        s = d.space.basis[:, 0].copy()
+        s = first.copy()
     if not np.count_nonzero(s):
         raise curverep.ZeroSection("flip needs a nonzero section of W_D")
-    if defl is None:
-        defl = deflate(rep, d, rng, stats)
-    s_v = curverep._apply_mul(rep, s, rep.full_v().basis)
-    out = divisor_from_space(rep, curverep.divide_raw(rep, s_v, defl.sections))
+    full = rep.full_v()
+    if defl is None and np.array_equal(s, first):
+        space = _deflate_and_divide(rep, d, s, rng, stats)
+    else:
+        if defl is None:
+            defl = deflate(rep, d, rng, stats)
+        if np.array_equal(defl.sections[0], s):
+            space = curverep.divide_own(rep, full, curverep.own_blocks(rep, full, defl.sections))
+        else:
+            s_v = curverep._apply_mul(rep, s, full.basis)
+            space = curverep.divide_raw(rep, s_v, defl.sections)
+    out = divisor_from_space(rep, space)
     return require_degree(out, rep.Delta - d.degree, f"flip of a degree-{d.degree} divisor")
+
+
+def _deflate_and_divide(rep, d: DivisorFull, s: np.ndarray, rng,
+                        stats: RetryStats | None) -> Subspace:
+    """``deflate`` and the own-section division of s*V in one loop, for s
+    the first section of every candidate: same draws, same verdicts, same
+    statistics, one K for all candidates."""
+    full = rep.full_v()
+    kv = linalg.left_kernel_rows(rep.field, curverep._apply_mul(rep, s, full.basis))
+    rank = rep.Delta - d.degree  # rank of the blocks for a generating set
+
+    def divide(brief):
+        blocks = curverep.own_blocks(rep, full, brief.sections, kv)
+        if len(blocks) > 1 and linalg.matrix_rank(rep.field, np.hstack(blocks)) != rank:
+            return None
+        space = curverep.divide_own(rep, full, blocks)
+        # with one block (h = 2) its rank, dim V - dim quotient, is the verdict
+        return space if len(blocks) > 1 or full.dim - space.dim == rank else None
+
+    return _first_accepted(rep, d, rng, stats, divide)
 
 
 def membership_test(rep, w: Subspace, defl_v: IgsV, rng,

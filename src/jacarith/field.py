@@ -107,11 +107,6 @@ def make_prime_field(p: int, sigma_size: int | None = None) -> PrimeField:
     return PrimeField(p, sigma_size)
 
 
-def sample_sigma(field: PrimeField, rng: "RandomStream") -> int:
-    """Uniform draw from Sigma = {0, ..., sigma_size - 1}."""
-    return rng.randrange(field.sigma_size)
-
-
 def sqrt_mod(a: int, p: int) -> int | None:
     """Square root mod an odd prime (Tonelli-Shanks); None for non-residues."""
     a %= p

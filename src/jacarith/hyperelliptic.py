@@ -344,11 +344,16 @@ def _affine_points(curve: HyperellipticCurve, rng: RandomStream, count: int) -> 
 
 def _value_matrix(curve: HyperellipticCurve, field: PrimeField,
                   monomials, points) -> np.ndarray:
+    """Values of x^a y^e at the points, from running powers of x."""
     a = linalg.zeros(field, len(points), len(monomials))
     p = field.p
-    for n, (x, y) in enumerate(points):
-        for j, (xd, yd, _) in enumerate(monomials):
-            a[n, j] = pow(x, xd, p) * (y if yd else 1) % p
+    xs = np.array([x for x, _ in points], dtype=a.dtype)
+    ys = np.array([y for _, y in points], dtype=a.dtype)
+    powers = [np.ones_like(xs)]
+    for _ in range(max(xd for xd, _, _ in monomials)):
+        powers.append(powers[-1] * xs % p)
+    for j, (xd, yd, _) in enumerate(monomials):
+        a[:, j] = powers[xd] * ys % p if yd else powers[xd]
     return a
 
 

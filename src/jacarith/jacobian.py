@@ -94,16 +94,33 @@ class LargeModel:
         return stream_from_bytes(self._salt.encode(), label.encode(),
                                  *(_space_bytes(s) for s in spaces))
 
-    def defl_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorBrief:
-        """Brief representation of a divisor, reusing the stored ones for
-        D_0 and 2*D_0; without rng, the draw is keyed by the divisor."""
+    def _stored_defl(self, d: DivisorFull) -> DivisorBrief | None:
+        """The stored brief representation if d is D_0 or 2*D_0, else None."""
         if d.space == self.W_D0.space:
             return self.defl_D0
         if d.space == self.W_2D0.space:
             return self.defl_2D0
-        if rng is None:
-            rng = self.content_stream("defl", d.space)
-        return divisors.deflate(self.rep, d, rng, self.stats)
+        return None
+
+    def defl_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorBrief:
+        """Brief representation of a divisor, reusing the stored ones for
+        D_0 and 2*D_0; without rng, the draw is keyed by the divisor."""
+        stored = self._stored_defl(d)
+        if stored is not None:
+            return stored
+        return divisors.deflate(self.rep, d, self._stream(d, rng), self.stats)
+
+    def flip_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorFull:
+        """Flip of d at its first canonical section: by the stored brief
+        representation for D_0 and 2*D_0, else fused with the deflation on
+        the stream ``defl_of`` would draw from."""
+        stored = self._stored_defl(d)
+        if stored is not None:
+            return divisors.flip(self.rep, d, rng, defl=stored)
+        return divisors.flip(self.rep, d, self._stream(d, rng), stats=self.stats)
+
+    def _stream(self, d: DivisorFull, rng: RandomStream | None) -> RandomStream:
+        return rng if rng is not None else self.content_stream("defl", d.space)
 
 
 def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
@@ -162,19 +179,20 @@ def equal_class(model: LargeModel, x: JacobianPoint, y: JacobianPoint) -> bool:
     """Whether x and y are the same divisor class.
 
     Divides s * W_E by a brief representation of D (s the first canonical
-    section of W_D); the quotient space is nonzero exactly when the classes
-    agree.  The intermediate divisor has degree Delta, beyond the usual
-    comfort range, but the division is still exact.
+    section of W_D, which heads that brief form); the quotient space is
+    nonzero exactly when the classes agree.  The division is the
+    own-section one, so the test is rank < dim W_E on the blocks K*(t_i*W_E).
+    The intermediate divisor has degree Delta, beyond the usual comfort
+    range, but the division is still exact.
     """
     if x.tag != y.tag:
         raise TagMismatch(f"cannot compare {x.tag} with {y.tag}")
     if x.space == y.space:
         return True
     rep = model.rep
-    s = x.space.basis[:, 0].copy()
     defl_x = model.defl_of(x.divisor)
-    s_we = curverep._apply_mul(rep, s, y.space.basis)
-    return curverep.divide_is_nonzero(rep, s_we, defl_x.sections)
+    blocks = curverep.own_blocks(rep, y.space, defl_x.sections)
+    return curverep.divide_own_is_nonzero(rep, y.space, blocks)
 
 
 def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
@@ -192,8 +210,7 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
         defl_dt = model.defl_2D0
     else:
         s = x.space.basis[:, 0].copy()
-        defl_d = divisors.deflate(rep, x.divisor, rng, model.stats)
-        d_tilde = divisors.flip(rep, x.divisor, rng, s=s, defl=defl_d)
+        d_tilde = divisors.flip(rep, x.divisor, rng, stats=model.stats)
         defl_dt = divisors.deflate(rep, d_tilde, rng, model.stats)
     s_we = curverep._apply_mul(rep, s, y.space.basis)
     w_de = divisors.divisor_from_space(
@@ -209,12 +226,11 @@ def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     _require(model, x, LARGE)
     _require(model, y, LARGE)
     rep = model.rep
-    d_tilde = divisors.flip(rep, x.divisor, rng, defl=model.defl_of(x.divisor, rng))
-    s = y.space.basis[:, 0].copy()
+    d_tilde = model.flip_of(x.divisor, rng)
+    # y's brief form starts with y's first section s: divide s*W_D~ by it
     defl_e = model.defl_of(y.divisor, rng)
-    raw = curverep._apply_mul(rep, s, d_tilde.space.basis)
-    out = divisors.divisor_from_space(
-        rep, curverep.divide_raw(rep, raw, defl_e.sections))
+    blocks = curverep.own_blocks(rep, d_tilde.space, defl_e.sections)
+    out = divisors.divisor_from_space(rep, curverep.divide_own(rep, d_tilde.space, blocks))
     divisors.require_degree(out, 2 * model.d, "addflip of large divisors")
     return JacobianPoint(LARGE, out)
 

@@ -176,34 +176,6 @@ def constraint_rows(field: PrimeField, s: Subspace) -> np.ndarray:
     return left_kernel_rows(field, s.basis)
 
 
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    _check_compatible(u, w)
-    return column_echelon(u.field, np.hstack([u.basis, w.basis]))
-
-
-def subspace_intersect(u: Subspace, w: Subspace) -> Subspace:
-    _check_compatible(u, w)
-    ku = constraint_rows(u.field, u)
-    kw = constraint_rows(w.field, w)
-    return kernel_basis(u.field, np.vstack([ku, kw]))
-
-
-def subspace_equal(u: Subspace, w: Subspace) -> bool:
-    _check_compatible(u, w)
-    return u == w
-
-
-def subspace_contains(u: Subspace, w: Subspace) -> bool:
-    """Whether u contains w."""
-    _check_compatible(u, w)
-    if w.dim == 0:
-        return True
-    ku = constraint_rows(u.field, u)
-    if ku.shape[0] == 0:
-        return True
-    return not np.count_nonzero(ku.dot(w.basis) % u.field.p)
-
-
 def contains_vector(s: Subspace, v: np.ndarray) -> bool:
     if v.shape[0] != s.ambient:
         raise DimensionMismatch("vector does not live in the ambient space")
@@ -212,7 +184,3 @@ def contains_vector(s: Subspace, v: np.ndarray) -> bool:
         return True
     return not np.count_nonzero(ks.dot(v) % s.field.p)
 
-
-def _check_compatible(u: Subspace, w: Subspace) -> None:
-    if u.ambient != w.ambient or u.field.p != w.field.p:
-        raise DimensionMismatch("subspaces live in different ambient spaces")

@@ -127,7 +127,8 @@ def test_engine_abort_is_a_failed_report_not_a_traceback(tmp_path, capsys, monke
     assert main(["gen", "--genus", "2", "--prime", "1009", "--seed", "7",
                  "--out", str(bundle)]) == 0
     capsys.readouterr()
-    # a division that returns all of V breaks the flip degree law
+    # a division that returns all of V breaks addflip_small's degree law at
+    # its middle division, the one that divides by another divisor's brief form
     monkeypatch.setattr(curverep, "divide_raw", lambda rep, basis, sections: rep.full_v())
     code, rows, err = _run(capsys, "verify", "--bundle", str(bundle),
                            "--suite", "oracle", "--trials", "2", "--seed", "1")

@@ -272,17 +272,68 @@ def test_repb0_division_matches_value_coordinate_reference(data):
     raw = np.hstack([s[:, None] * w % p for s in sections[:used]] + [extra])
     wp = linalg.column_echelon(field, raw)
     if not any(np.count_nonzero(s) for s in sections):
-        for call in (lambda: ja.divide(rep, wp, sections),
-                     lambda: curverep.divide_is_nonzero(rep, raw, sections)):
-            with pytest.raises(ja.AllZeroSections):
-                call()
+        with pytest.raises(ja.AllZeroSections):
+            ja.divide(rep, wp, sections)
         return
     want, want_nonzero = _reference_division(rep, raw, sections)
     got = ja.divide(rep, wp, sections)
     assert got.ambient == rep.n and got.basis.dtype == linalg.dtype_for(field)
     assert got == want
     assert curverep.divide_raw(rep, raw, sections) == want
-    assert curverep.divide_is_nonzero(rep, raw, sections) == want_nonzero == (want.dim > 0)
+    assert want_nonzero == (want.dim > 0)
+
+
+# Own-section division: (s*W)/{s, t_2, ..., t_h} for s the first canonical
+# column of W, against divide_raw on the same dividend.  The point-value form
+# needs 2*Delta + 1 rational points, which F_2 does not have.
+
+_OWN_REPS = {}
+
+
+def _own_rep(form, p):
+    if (form, p) not in _OWN_REPS:
+        bundle = ja.gen_hyperelliptic(2, p, rng=ja.RandomStream(f"own-{p}"))
+        if form == "b0":
+            bundle = ja.gen_rep_b0(bundle, ja.RandomStream(f"own-pts-{p}"))
+        _OWN_REPS[form, p] = bundle.rep_b0 if form == "b0" else bundle.rep_a
+    return _OWN_REPS[form, p]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divide_own_matches_divide_raw(data):
+    form, p = data.draw(st.sampled_from(
+        [("a", 2), ("a", 1009), ("a", 2**31 - 1), ("b0", 1009), ("b0", 2**31 - 1)]))
+    rep = _own_rep(form, p)
+    field = rep.field
+    e = rep.full_v().basis
+    coords = _draw_matrix(data, field, rep.delta, data.draw(st.integers(1, rep.delta)))
+    w = linalg.column_echelon(field, e.dot(coords) % p)
+    if w.dim == 0:
+        return
+    # t_i from W (s itself always lies in the quotient), from V, or zero
+    sections = [w.basis[:, 0].copy()]
+    for _ in range(data.draw(st.integers(0, 3))):
+        space = data.draw(st.sampled_from((w, rep.full_v())))
+        sections.append(space.basis.dot(_draw_matrix(data, field, space.dim, 1))[:, 0] % p)
+    raw = ja.simple_mul(rep, sections[0], w).basis
+    want = curverep.divide_raw(rep, raw, sections)
+    blocks = curverep.own_blocks(rep, w, sections)
+    got = curverep.divide_own(rep, w, blocks)
+    assert got.ambient == rep.n and got.basis.dtype == want.basis.dtype
+    assert got == want
+    nonzero = curverep.divide_own_is_nonzero(rep, w, blocks)
+    assert nonzero == (want.dim > 0)
+    if form == "b0":
+        ref, ref_nonzero = _reference_division(rep, raw, sections)
+        assert ref == want and ref_nonzero == nonzero
+
+
+def test_own_division_needs_a_nonzero_first_section(b0_bundle):
+    rep = b0_bundle.rep_b0
+    zero = np.zeros(rep.n, dtype=linalg.dtype_for(rep.field))
+    with pytest.raises(ja.ZeroSection):
+        curverep.own_blocks(rep, rep.full_v(), [zero, rep.full_v().basis[:, 0]])
 
 
 @settings(max_examples=100, deadline=None)

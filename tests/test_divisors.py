@@ -1,5 +1,9 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jacarith as ja
 import jacarith.poly as poly
@@ -14,6 +18,34 @@ def test_igs_size_h_values():
         ja.igs_size_h(4, 4, 2)
     with pytest.raises(ValueError):
         ja.igs_size_h(12, 4, 1)
+
+
+def _sigma_coeffs(field, dim, rng):
+    # over the identity basis the drawn coefficients are the element itself
+    return divisors.sigma_random_element(field, linalg.full_subspace(field, dim), rng)
+
+
+def test_sigma_random_element_replayable(f1009):
+    draws1 = [_sigma_coeffs(f1009, 5, ja.RandomStream("s0").split(i)) for i in range(50)]
+    draws2 = [_sigma_coeffs(f1009, 5, ja.RandomStream("s0").split(i)) for i in range(50)]
+    assert all(np.array_equal(a, b) for a, b in zip(draws1, draws2))
+
+
+def test_sigma_random_element_small_sigma():
+    field = ja.make_prime_field(1009, sigma_size=2)
+    coeffs = _sigma_coeffs(field, 200, ja.RandomStream("tiny"))
+    assert set(coeffs.tolist()) == {0, 1}
+
+
+def test_sigma_random_element_uniform(f1009):
+    # each residue count within 5 sigma of the binomial expectation
+    n = 100_000
+    coeffs = np.concatenate([_sigma_coeffs(f1009, 1000, ja.RandomStream("freq").split(i))
+                             for i in range(n // 1000)])
+    counts = np.bincount(coeffs, minlength=f1009.p)
+    q = 1 / f1009.p
+    bound = 5 * math.sqrt(n * q * (1 - q))
+    assert len(counts) == f1009.p and all(abs(c - n * q) <= bound for c in counts)
 
 
 def _bridged(bundle, model, label, i):
@@ -129,10 +161,73 @@ def test_flip_degree_and_dimension_laws(bundle_g2, model_g2):
 def test_flip_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch):
     rep = bundle_g2.rep_a
     d = _bridged(bundle_g2, model_g2, "law", 0)
+    defl = ja.deflate(rep, d, ja.RandomStream("law"))
     # a division that returns all of V breaks deg E = Delta - deg D
-    monkeypatch.setattr(curverep, "divide_raw", lambda rep, basis, sections: rep.full_v())
+    monkeypatch.setattr(curverep, "divide_own", lambda rep, w, blocks: rep.full_v())
     with pytest.raises(curverep.DegreeLawViolation, match="flip"):
+        ja.flip(rep, d, ja.RandomStream("law"), defl=defl)
+    # fused with the deflation (h = 2), the kernel dimension is the candidate's
+    # verdict, so the same wrong division rejects every candidate instead
+    with pytest.raises(divisors.LasVegasExhausted):
         ja.flip(rep, d, ja.RandomStream("law"))
+
+
+_FLIP_CASES = {}
+
+
+def _flip_case(p, sigma_size):
+    """A genus-2 table form over F_p with the given |Sigma|, and divisors of
+    several degrees: D_0, 2*D_0 and a walk of flips at random sections."""
+    if (p, sigma_size) not in _FLIP_CASES:
+        bundle = ja.gen_hyperelliptic(2, p, rng=ja.RandomStream(f"fused-{p}"))
+        field = ja.make_prime_field(p, sigma_size=sigma_size)
+        rep = ja.RepA(field, bundle.g, bundle.Delta, bundle.rep_a.tables)
+        model = bundle.large_model(ja.RandomStream(f"fused-model-{p}"), compute_defl_v=False)
+        pool = [ja.divisor_from_space(rep, linalg.Subspace(field, rep.n, d.space.basis))
+                for d in (model.W_D0, model.W_2D0)]
+        rng = ja.RandomStream(f"fused-walk-{p}-{sigma_size}")
+        for i in range(4):
+            s = divisors.sigma_random_element(field, pool[-1].space, rng.split(f"s{i}"))
+            if np.count_nonzero(s):
+                pool.append(ja.flip(rep, pool[-1], rng.split(f"f{i}"), s=s))
+        _FLIP_CASES[p, sigma_size] = rep, pool
+    return _FLIP_CASES[p, sigma_size]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fused_flip_verdict_matches_is_igs(data):
+    # h = 2 at |Sigma| = 1009; h > 2 at |Sigma| = 2 (over F_1009 and F_2)
+    p, sigma_size = data.draw(st.sampled_from([(1009, 1009), (1009, 2), (2, 2)]))
+    rep, pool = _flip_case(p, sigma_size)
+    d = data.draw(st.sampled_from(pool))
+    h = ja.igs_size_h(rep.Delta, d.degree, sigma_size)
+    first = d.space.basis[:, 0]
+    # candidates headed by W_D's first column whose other sections come from
+    # a few columns of W_D, so that many of them fail to generate D
+    drawn = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        cols = data.draw(st.lists(st.integers(0, d.space.dim - 1), min_size=1, max_size=3))
+        drawn.append(divisors.DivisorBrief((first.copy(),) + tuple(
+            d.space.basis[:, cols].dot(np.array(
+                data.draw(st.lists(st.integers(0, p - 1), min_size=len(cols),
+                                   max_size=len(cols))), dtype=np.int64)) % p
+            for _ in range(h - 1))))
+    draw = divisors.random_igs_candidate
+    returned = []
+
+    def candidates(rep, d, rng):
+        returned.append(drawn.pop(0) if drawn else draw(rep, d, rng))
+        return returned[-1]
+
+    stats = ja.RetryStats()
+    with mock.patch.object(divisors, "random_igs_candidate", candidates):
+        out = ja.flip(rep, d, ja.RandomStream("fused"), stats=stats)
+    verdicts = [ja.is_igs(rep, brief, d.degree) for brief in returned]
+    assert verdicts == [False] * (len(returned) - 1) + [True]
+    assert stats.histogram == {len(returned): 1}
+    s_v = rep.apply_mul(first, rep.full_v().basis)
+    assert out.space == curverep.divide_raw(rep, s_v, returned[-1].sections)
 
 
 def test_flip_preconditions(bundle_g2):

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 import jacarith as ja
@@ -46,30 +44,6 @@ def test_field_axioms_random(p):
         assert field.add(a, field.neg(a)) == 0
         if a:
             assert field.mul(a, field.inv(a)) == 1
-
-
-def test_sample_sigma_replayable(f1009):
-    draws1 = [ja.sample_sigma(f1009, ja.RandomStream("s0").split(i)) for i in range(50)]
-    draws2 = [ja.sample_sigma(f1009, ja.RandomStream("s0").split(i)) for i in range(50)]
-    assert draws1 == draws2
-
-
-def test_sample_sigma_small_sigma():
-    field = ja.make_prime_field(1009, sigma_size=2)
-    rng = ja.RandomStream("tiny")
-    assert {ja.sample_sigma(field, rng) for _ in range(200)} == {0, 1}
-
-
-def test_sample_sigma_uniform(f1009):
-    # each residue count within 5 sigma of the binomial expectation
-    n = 100_000
-    rng = ja.RandomStream("freq")
-    counts = [0] * f1009.p
-    for _ in range(n):
-        counts[ja.sample_sigma(f1009, rng)] += 1
-    q = 1 / f1009.p
-    bound = 5 * math.sqrt(n * q * (1 - q))
-    assert all(abs(c - n * q) <= bound for c in counts)
 
 
 def test_sqrt_mod():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import jacarith as ja
-from jacarith import hyperelliptic as hyp
+from jacarith import hyperelliptic as hyp, linalg
 
 
 def test_g1_monomial_basis(bundle_g1):
@@ -74,6 +74,22 @@ def test_rep_b0_points_and_values():
     for x, y in rep.points:
         assert y * y % p == sum(c * pow(x, i, p) for i, c in enumerate(f)) % p
     assert ja.validate_rep(rep).passed
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+def test_value_matrix_matches_pow_loop(p):
+    # running powers of x against one pow per entry, for both monomial lists
+    # _attach_rep_b0 evaluates (V and V')
+    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(2, p, rng=ja.RandomStream(f"vm{p}")),
+                           ja.RandomStream(f"vm-pts{p}"))
+    points = bundle.rep_b0.points
+    for monomials in (bundle.v_monomials, hyp.basis_monomials(bundle.curve, 2 * bundle.Delta)):
+        want = linalg.zeros(bundle.field, len(points), len(monomials))
+        for n, (x, y) in enumerate(points):
+            for j, (xd, yd, _) in enumerate(monomials):
+                want[n, j] = pow(x, xd, p) * (y if yd else 1) % p
+        got = hyp._value_matrix(bundle.curve, bundle.field, monomials, points)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_rep_b0_insufficient_points():
