@@ -95,11 +95,16 @@ def cantor_negate(curve: HyperellipticCurve, a: MumfordDivisor) -> MumfordDiviso
 
 
 def cantor_scalar(curve: HyperellipticCurve, n: int, a: MumfordDivisor) -> MumfordDivisor:
+    """n*a by double-and-add over ``cantor_add``."""
     if n < 0:
         return cantor_scalar(curve, -n, cantor_negate(curve, a))
     acc = neutral()
-    for _ in range(n):
-        acc = cantor_add(curve, acc, a)
+    while n:
+        if n & 1:
+            acc = cantor_add(curve, acc, a)
+        n >>= 1
+        if n:
+            a = cantor_add(curve, a, a)
     return acc
 
 

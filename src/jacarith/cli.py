@@ -288,6 +288,8 @@ def cmd_verify(args) -> int:
 OPS = {
     "addflip-large": (LARGE, lambda m, x, y, r: jacobian.addflip_large(m, x, y, r)),
     "addflip-small": (SMALL, lambda m, x, y, r: jacobian.addflip_small(m, x, y, r)),
+    "add": (SMALL, lambda m, x, y, r: jacobian.add(m, x, y, r)),
+    "negate": (SMALL, lambda m, x, y, r: jacobian.negate(m, x, r)),
     "equal": (SMALL, lambda m, x, y, r: jacobian.equal_class(m, x, y)),
     "flip": (SMALL, lambda m, x, y, r: divisors.flip(m.rep, x.divisor, r, stats=m.stats)),
 }

@@ -38,6 +38,19 @@ side by side have rank dim(s*W + t_2*W + ... + t_h*W) - dim W, which for
 W = V is the codimension test of a generating set, so a flip can verify its
 candidate and divide on one K.
 
+The own-section users: flips at W_D's first canonical section (fused with
+their deflation), every deflation (``deflate`` verifies its candidates,
+headed by W_D's first canonical section or a given one, on K of s*V),
+both the middle division and the flips of
+``addflip_small``, the flip and the final division of ``addflip_large``,
+and ``equal_class``.  ``divide_product`` makes every division of s*W by a
+generating set an own-section one: a set headed by another section (a flip
+at an explicit s, or the point-value form's stored brief form of 2*D_0,
+headed by s0, in a flip or final division at W_2D0's first section) gets s
+put at its head, which leaves the divisor it generates and so the quotient
+unchanged.  ``divide_raw`` remains only for ``divide`` (``inflate``,
+``membership_test``), whose dividend is not a product s*W.
+
 Everything downstream (divisor representations, group operations) is built
 from four primitives on these encodings: single products, simple
 multiplication s*W, sums of products, and division.
@@ -243,14 +256,19 @@ def divide_raw(rep, wp_basis: np.ndarray, sections) -> Subspace:
     return rep.from_v_coords(linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections)))
 
 
+def own_kernel(rep, s: np.ndarray, w: Subspace) -> np.ndarray:
+    """Rows spanning K, the left kernel of s*W, for a nonzero section s."""
+    if not np.count_nonzero(s):
+        raise ZeroSection("own-section division needs a nonzero first section")
+    return linalg.left_kernel_rows(rep.field, _apply_mul(rep, s, w.basis))
+
+
 def own_blocks(rep, w: Subspace, sections, kw: np.ndarray | None = None) -> list[np.ndarray]:
     """The constraint blocks K*(t_i*W) of dividing s*W by (s, t_2, ..., t_h),
     s = sections[0], one block per nonzero t_i.  K is kw when given (rows
     spanning the left kernel of s*W), else it is built here."""
     if kw is None:
-        if not np.count_nonzero(sections[0]):
-            raise ZeroSection("own-section division needs a nonzero first section")
-        kw = linalg.left_kernel_rows(rep.field, _apply_mul(rep, sections[0], w.basis))
+        kw = own_kernel(rep, sections[0], w)
     return [kw.dot(_apply_mul(rep, t, w.basis)) % rep.field.p
             for t in sections[1:] if np.count_nonzero(t)]
 
@@ -266,6 +284,17 @@ def divide_own(rep, w: Subspace, blocks) -> Subspace:
 def divide_own_is_nonzero(rep, w: Subspace, blocks) -> bool:
     """Whether ``divide_own`` would return a nonzero space: rank < dim W."""
     return linalg.matrix_rank(rep.field, _stacked(rep, w, blocks)) < w.dim
+
+
+def divide_product(rep, s: np.ndarray, w: Subspace, sections) -> Subspace:
+    """Canonical basis of (s*W)/{sections} = {u in V : t*u in s*W for every
+    section t}, for sections generating a divisor D and s a section of W_D:
+    the own-section division, with s put at the head of the sections when
+    it is not there already (sections of W_D added to a generating set of D
+    still generate D, so the quotient is the same)."""
+    if not np.array_equal(sections[0], s):
+        sections = (s,) + tuple(sections)
+    return divide_own(rep, w, own_blocks(rep, w, sections))
 
 
 def _stacked(rep, w: Subspace, blocks) -> np.ndarray:

@@ -145,29 +145,63 @@ def is_igs(rep, brief: DivisorBrief, expected_codim: int) -> bool:
     """Whether the sections generate exactly a divisor of the expected degree.
 
     The sum of products s_1*V + ... + s_h*V always lands inside W'_D, so for
-    2g-1 <= deg D the test reduces to comparing codimensions in V'.  A flip
-    at the first section s makes the same test on its own blocks instead:
-    with K the left kernel of s*V, the blocks K*(t_i*V) side by side have
-    rank Delta - deg D exactly when the codimension is deg D (see ``flip``).
+    2g-1 <= deg D the test reduces to comparing codimensions in V'.
+    ``deflate`` and the fused ``flip`` make the same test on smaller blocks
+    instead: with K the left kernel of s*V for the candidate's head s, the
+    blocks K*(t_i*V) side by side have rank Delta - deg D exactly when the
+    codimension is deg D.  This function stays as their reference.
     """
     dim = curverep.sum_of_products_dim(rep, brief.sections, rep.full_v())
     return rep.delta_prime - dim == expected_codim
 
 
-def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None) -> DivisorBrief:
-    """Las Vegas full-to-brief conversion; output is always verified."""
+def _require_comfort_degree(rep, d: DivisorFull, what: str) -> None:
     if not 2 * rep.g - 1 <= d.degree <= rep.Delta - 2 * rep.g:
         raise PreconditionDegree(
-            f"deflation needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
-    return _first_accepted(rep, d, rng, stats,
-                           lambda brief: brief if is_igs(rep, brief, d.degree) else None)
+            f"{what} needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
 
 
-def _first_accepted(rep, d: DivisorFull, rng, stats: RetryStats | None, accept):
-    """The deflation loop: draw candidates for D until ``accept`` maps one to
+def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
+            s: np.ndarray | None = None, kv: np.ndarray | None = None) -> DivisorBrief:
+    """Las Vegas full-to-brief conversion; output is always verified.
+
+    Candidates are (s, t_2, ..., t_h): s is W_D's first canonical column, or
+    the given nonzero section of W_D, and the t_i are the Sigma-random
+    elements of W_D that ``random_igs_candidate`` draws.  Because s lies in
+    W_D, a candidate generates D exactly when the blocks K*(t_i*V) side by
+    side have rank Delta - deg D, K the left kernel of s*V (the test a fused
+    ``flip`` makes): ``is_igs``'s verdict on a smaller matrix, with one K
+    for all candidates.  kv, when given, holds rows spanning that K for the
+    s used, e.g. from the flip that produced D.
+    """
+    _require_comfort_degree(rep, d, "deflation")
+    if d.space.dim == 0:
+        raise EmptySpace("cannot deflate the zero space")
+    full = rep.full_v()
+    if kv is None:
+        kv = curverep.own_kernel(rep, d.space.basis[:, 0] if s is None else s, full)
+    rank = rep.Delta - d.degree
+
+    def draw():
+        brief = random_igs_candidate(rep, d, rng)
+        return brief if s is None else DivisorBrief((s.copy(),) + brief.sections[1:])
+
+    def verified(brief):
+        blocks = curverep.own_blocks(rep, full, brief.sections, kv)
+        return brief if _side_by_side_rank(rep, blocks) == rank else None
+
+    return _first_accepted(draw, stats, verified)
+
+
+def _side_by_side_rank(rep, blocks) -> int:
+    return linalg.matrix_rank(rep.field, np.hstack(blocks)) if blocks else 0
+
+
+def _first_accepted(draw, stats: RetryStats | None, accept):
+    """The deflation loop: ``draw`` candidates until ``accept`` maps one to
     a result other than None, and record the attempts taken."""
     for attempt in range(1, _LOOP_CAP + 1):
-        out = accept(random_igs_candidate(rep, d, rng))
+        out = accept(draw())
         if out is not None:
             if stats is not None:
                 stats.record(attempt)
@@ -215,23 +249,29 @@ def inflate(rep, brief: DivisorBrief, defl_v: IgsV) -> DivisorFull:
 
 
 def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
-         defl: DivisorBrief | None = None, stats: RetryStats | None = None) -> DivisorFull:
+         defl: DivisorBrief | None = None, stats: RetryStats | None = None,
+         kv: np.ndarray | None = None) -> DivisorFull:
     """Complementary divisor: for s in W_D with (s) = D + E, compute W_E.
 
     The result satisfies deg E = Delta - deg D; the flip is computed as the
     division of s*V by a brief representation of D.  When that brief form
     starts with s, the division is the own-section one (``curverep``):
     W_E = {u in V : t_i*u in s*V}.  At the default s, W_D's first canonical
-    column, which heads every candidate ``igs_candidate`` draws, and without
-    a given brief form, deflation and division are fused: K, the left kernel
-    of s*V, is built once; per candidate (drawn as ``deflate`` draws them)
+    column, which heads every candidate ``deflate`` draws, and without a
+    given brief form, deflation and division are fused: K, the left kernel
+    of s*V, is built once (or taken from kv, rows spanning it, which only
+    this fused path reads, so it cannot go with s or defl); per candidate
     the blocks K*(t_i*V) side by side have rank Delta - deg D exactly when
     ``is_igs`` accepts, and their stacked kernel is the flip.  For h = 2 the
-    one kernel gives both.  Any other s divides s*V by a deflation of D.
+    one kernel gives both.  s also lies in W_E, so a caller can go on to
+    deflate E at s on the same K (``deflate`` with s and kv).  An explicit s
+    divides s*V by a deflation of D, and a given brief form headed by
+    another section divides by it, both with s put at the head of the brief
+    form (``curverep.divide_product``).
     """
-    if not 2 * rep.g - 1 <= d.degree <= rep.Delta - 2 * rep.g:
-        raise PreconditionDegree(
-            f"flip needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
+    if kv is not None and (s is not None or defl is not None):
+        raise ValueError("kv is the kernel at W_D's first section; it cannot go with s or defl")
+    _require_comfort_degree(rep, d, "flip")
     if d.space.dim == 0:
         raise EmptySpace("cannot flip the zero space")
     first = d.space.basis[:, 0]
@@ -239,39 +279,35 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
         s = first.copy()
     if not np.count_nonzero(s):
         raise curverep.ZeroSection("flip needs a nonzero section of W_D")
-    full = rep.full_v()
     if defl is None and np.array_equal(s, first):
-        space = _deflate_and_divide(rep, d, s, rng, stats)
+        space = _deflate_and_divide(rep, d, s, rng, stats, kv)
     else:
         if defl is None:
             defl = deflate(rep, d, rng, stats)
-        if np.array_equal(defl.sections[0], s):
-            space = curverep.divide_own(rep, full, curverep.own_blocks(rep, full, defl.sections))
-        else:
-            s_v = curverep._apply_mul(rep, s, full.basis)
-            space = curverep.divide_raw(rep, s_v, defl.sections)
+        space = curverep.divide_product(rep, s, rep.full_v(), defl.sections)
     out = divisor_from_space(rep, space)
     return require_degree(out, rep.Delta - d.degree, f"flip of a degree-{d.degree} divisor")
 
 
 def _deflate_and_divide(rep, d: DivisorFull, s: np.ndarray, rng,
-                        stats: RetryStats | None) -> Subspace:
+                        stats: RetryStats | None, kv: np.ndarray | None) -> Subspace:
     """``deflate`` and the own-section division of s*V in one loop, for s
     the first section of every candidate: same draws, same verdicts, same
     statistics, one K for all candidates."""
     full = rep.full_v()
-    kv = linalg.left_kernel_rows(rep.field, curverep._apply_mul(rep, s, full.basis))
+    if kv is None:
+        kv = curverep.own_kernel(rep, s, full)
     rank = rep.Delta - d.degree  # rank of the blocks for a generating set
 
     def divide(brief):
         blocks = curverep.own_blocks(rep, full, brief.sections, kv)
-        if len(blocks) > 1 and linalg.matrix_rank(rep.field, np.hstack(blocks)) != rank:
+        if len(blocks) > 1 and _side_by_side_rank(rep, blocks) != rank:
             return None
         space = curverep.divide_own(rep, full, blocks)
         # with one block (h = 2) its rank, dim V - dim quotient, is the verdict
         return space if len(blocks) > 1 or full.dim - space.dim == rank else None
 
-    return _first_accepted(rep, d, rng, stats, divide)
+    return _first_accepted(lambda: random_igs_candidate(rep, d, rng), stats, divide)
 
 
 def membership_test(rep, w: Subspace, defl_v: IgsV, rng,

@@ -147,7 +147,8 @@ def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
 
     stats = RetryStats()
     defl_d0 = divisors.deflate(rep, w_d0, rng.split("defl-d0"), stats)
-    defl_2d0 = divisors.deflate(rep, w_2d0, rng.split("defl-2d0"), stats)
+    # headed by s0, so that addflip_small's shortcut divides by its own section
+    defl_2d0 = divisors.deflate(rep, w_2d0, rng.split("defl-2d0"), stats, s=s0)
     defl_v = None
     if precomp.defl_v_sections is not None:
         defl_v = IgsV(tuple(precomp.defl_v_sections))
@@ -197,7 +198,14 @@ def equal_class(model: LargeModel, x: JacobianPoint, y: JacobianPoint) -> bool:
 
 def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
                   rng: RandomStream) -> JacobianPoint:
-    """addflip on small representatives: flip, divide, flip again."""
+    """addflip on small representatives: flip, divide, flip again.
+
+    With s the first canonical section of W_x and (s) = D_x + D~, the first
+    flip gives W_D~.  s lies in W_D~, so D~ is deflated at s on the left
+    kernel of s*V that the flip built (``divisors.deflate`` at s), and the
+    middle division of s*W_y by that brief form is the own-section one over
+    dim W_y columns.  The last flip is fused with its deflation.
+    """
     _require(model, x, SMALL)
     _require(model, y, SMALL)
     rep = model.rep
@@ -205,16 +213,17 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
         x, y = y, x  # the result class is symmetric; favor the stored shortcut
     if x.space == model.W_D0.space:
         # x is the stored identity: s0 flips D_0 to 2*D_0, whose brief
-        # representation is precomputed, so the first flip is free.
+        # representation is precomputed and headed by s0, so the first flip
+        # is free.
         s = model.s0
         defl_dt = model.defl_2D0
     else:
         s = x.space.basis[:, 0].copy()
-        d_tilde = divisors.flip(rep, x.divisor, rng, stats=model.stats)
-        defl_dt = divisors.deflate(rep, d_tilde, rng, model.stats)
-    s_we = curverep._apply_mul(rep, s, y.space.basis)
+        kv = curverep.own_kernel(rep, s, rep.full_v())
+        d_tilde = divisors.flip(rep, x.divisor, rng, stats=model.stats, kv=kv)
+        defl_dt = divisors.deflate(rep, d_tilde, rng, model.stats, s=s, kv=kv)
     w_de = divisors.divisor_from_space(
-        rep, curverep.divide_raw(rep, s_we, defl_dt.sections))
+        rep, curverep.divide_product(rep, s, y.space, defl_dt.sections))
     divisors.require_degree(w_de, 2 * model.d, "sum divisor")
     out = divisors.flip(rep, w_de, rng, stats=model.stats)
     return JacobianPoint(SMALL, out)
@@ -227,10 +236,13 @@ def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     _require(model, y, LARGE)
     rep = model.rep
     d_tilde = model.flip_of(x.divisor, rng)
-    # y's brief form starts with y's first section s: divide s*W_D~ by it
+    # divide s*W_D~ by y's brief form, s y's first section; the brief form
+    # starts with s unless it is the stored one of 2*D_0, headed by s0, and
+    # s0 is not W_2D0's first section (then s is put at its head)
     defl_e = model.defl_of(y.divisor, rng)
-    blocks = curverep.own_blocks(rep, d_tilde.space, defl_e.sections)
-    out = divisors.divisor_from_space(rep, curverep.divide_own(rep, d_tilde.space, blocks))
+    s = y.space.basis[:, 0]
+    out = divisors.divisor_from_space(
+        rep, curverep.divide_product(rep, s, d_tilde.space, defl_e.sections))
     divisors.require_degree(out, 2 * model.d, "addflip of large divisors")
     return JacobianPoint(LARGE, out)
 

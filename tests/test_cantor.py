@@ -141,6 +141,17 @@ def test_scalar_matches_repeated_add(bundle_g1, model_g1):
         assert ja.oracle_compare(model_g1, got, ja.cantor_scalar(curve, n, m))
 
 
+def test_cantor_scalar_matches_the_n_fold_sum(bundle_g2):
+    curve = bundle_g2.curve
+    m = ja.random_mumford(curve, ja.RandomStream("n-fold"))
+    for n in (0, 1, -1, 2, 3, 12, 50):
+        a, k = (m, n) if n >= 0 else (ja.cantor_negate(curve, m), -n)
+        want = ja.neutral()
+        for _ in range(k):
+            want = ja.cantor_add(curve, want, a)
+        assert ja.cantor_scalar(curve, n, m) == want
+
+
 def test_large_bridge(bundle_g2, model_g2):
     rng = ja.RandomStream("large-bridge")
     m = ja.random_mumford(bundle_g2.curve, rng.split("m"))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jacarith import curverep
 from jacarith.cli import main
 
@@ -93,6 +95,16 @@ def test_scale_single_genus_slope_na(tmp_path, capsys):
     assert slope_rows[0]["details"]["slope"] == "n/a"
 
 
+@pytest.mark.parametrize("op", ["add", "negate"])
+def test_scale_times_add_and_negate(capsys, op):
+    code, rows, _ = _run(capsys, "scale", "--genus-list", "2",
+                         "--trials", "2", "--seed", "1", "--op", op)
+    assert code == 0
+    timed = [r for r in rows if r["case"] == "g=2"]
+    assert len(timed) == 1 and timed[0]["details"]["op"] == op
+    assert timed[0]["details"]["median_ns"] > 0
+
+
 def test_b0_suite_through_cli(tmp_path, capsys):
     bundle = tmp_path / "b0.json"
     main(["gen", "--genus", "1", "--prime", "1009", "--seed", "2",
@@ -128,8 +140,11 @@ def test_engine_abort_is_a_failed_report_not_a_traceback(tmp_path, capsys, monke
                  "--out", str(bundle)]) == 0
     capsys.readouterr()
     # a division that returns all of V breaks addflip_small's degree law at
-    # its middle division, the one that divides by another divisor's brief form
-    monkeypatch.setattr(curverep, "divide_raw", lambda rep, basis, sections: rep.full_v())
+    # its middle division, the own-section division of s*W_y (flips divide
+    # s*V and pass through)
+    divide = curverep.divide_own
+    monkeypatch.setattr(curverep, "divide_own", lambda rep, w, blocks: (
+        divide(rep, w, blocks) if w == rep.full_v() else rep.full_v()))
     code, rows, err = _run(capsys, "verify", "--bundle", str(bundle),
                            "--suite", "oracle", "--trials", "2", "--seed", "1")
     assert code == 1

@@ -194,6 +194,20 @@ def _flip_case(p, sigma_size):
     return _FLIP_CASES[p, sigma_size]
 
 
+def _weak_candidates(data, p, space, head, h):
+    """Candidates headed by head whose other sections come from a few columns
+    of the space, so that many of them fail to generate its divisor."""
+    drawn = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        cols = data.draw(st.lists(st.integers(0, space.dim - 1), min_size=1, max_size=3))
+        drawn.append(divisors.DivisorBrief((head.copy(),) + tuple(
+            space.basis[:, cols].dot(np.array(
+                data.draw(st.lists(st.integers(0, p - 1), min_size=len(cols),
+                                   max_size=len(cols))), dtype=np.int64)) % p
+            for _ in range(h - 1))))
+    return drawn
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_fused_flip_verdict_matches_is_igs(data):
@@ -203,16 +217,7 @@ def test_fused_flip_verdict_matches_is_igs(data):
     d = data.draw(st.sampled_from(pool))
     h = ja.igs_size_h(rep.Delta, d.degree, sigma_size)
     first = d.space.basis[:, 0]
-    # candidates headed by W_D's first column whose other sections come from
-    # a few columns of W_D, so that many of them fail to generate D
-    drawn = []
-    for _ in range(data.draw(st.integers(0, 3))):
-        cols = data.draw(st.lists(st.integers(0, d.space.dim - 1), min_size=1, max_size=3))
-        drawn.append(divisors.DivisorBrief((first.copy(),) + tuple(
-            d.space.basis[:, cols].dot(np.array(
-                data.draw(st.lists(st.integers(0, p - 1), min_size=len(cols),
-                                   max_size=len(cols))), dtype=np.int64)) % p
-            for _ in range(h - 1))))
+    drawn = _weak_candidates(data, p, d.space, first, h)
     draw = divisors.random_igs_candidate
     returned = []
 
@@ -228,6 +233,61 @@ def test_fused_flip_verdict_matches_is_igs(data):
     assert stats.histogram == {len(returned): 1}
     s_v = rep.apply_mul(first, rep.full_v().basis)
     assert out.space == curverep.divide_raw(rep, s_v, returned[-1].sections)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_headed_deflation_verdict_matches_is_igs(data):
+    # deflate D at W_D's first column, or D~ = the flip of x at s, x's first
+    # column, at s (s lies in W_D~) on the flip's K; h = 2 at |Sigma| = 1009,
+    # h > 2 at |Sigma| = 2 (over F_1009 and F_2)
+    p, sigma_size = data.draw(st.sampled_from([(1009, 1009), (1009, 2), (2, 2)]))
+    rep, pool = _flip_case(p, sigma_size)
+    x, y = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    if data.draw(st.booleans()):
+        s = x.space.basis[:, 0].copy()
+        kv = curverep.own_kernel(rep, s, rep.full_v())
+        e = ja.flip(rep, x, ja.RandomStream("headed-flip"), kv=kv)
+        head = s
+    else:
+        e, s, kv = x, None, None
+        head = x.space.basis[:, 0]
+    h = ja.igs_size_h(rep.Delta, e.degree, sigma_size)
+    drawn = _weak_candidates(data, p, e.space, e.space.basis[:, 0], h)
+    draw = divisors.random_igs_candidate
+    returned = []
+
+    def candidates(rep, d, rng):
+        returned.append(drawn.pop(0) if drawn else draw(rep, d, rng))
+        return returned[-1]
+
+    stats = ja.RetryStats()
+    with mock.patch.object(divisors, "random_igs_candidate", candidates):
+        brief = ja.deflate(rep, e, ja.RandomStream("headed"), stats, s=s, kv=kv)
+    # deflate heads every drawn candidate with s
+    headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
+    verdicts = [ja.is_igs(rep, b, e.degree) for b in headed]
+    assert verdicts == [False] * (len(returned) - 1) + [True]
+    assert stats.histogram == {len(returned): 1}
+    assert all(np.array_equal(a, b) for a, b in zip(brief.sections, headed[-1].sections))
+    # the own-section quotient of s*W_y by it is the general one, also at
+    # another section of W_E, which divide_product puts at the head
+    for t in (head, e.space.basis[:, -1]):
+        t_w = rep.apply_mul(t, y.space.basis)
+        assert (curverep.divide_product(rep, t, y.space, brief.sections)
+                == curverep.divide_raw(rep, t_w, brief.sections))
+
+
+def test_flip_kv_goes_only_with_the_fused_path(bundle_g2, model_g2):
+    # kv is K at W_D's first column; an explicit s or brief form rejects it
+    rep = bundle_g2.rep_a
+    d = model_g2.W_D0
+    first = d.space.basis[:, 0]
+    kv = curverep.own_kernel(rep, first, rep.full_v())
+    with pytest.raises(ValueError):
+        ja.flip(rep, d, ja.RandomStream(0), s=first, kv=kv)
+    with pytest.raises(ValueError):
+        ja.flip(rep, d, ja.RandomStream(0), defl=model_g2.defl_D0, kv=kv)
 
 
 def test_flip_preconditions(bundle_g2):

@@ -122,21 +122,20 @@ def test_addflip_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch, o
     m1, m2, _, _ = _pair(bundle_g2, model_g2, "law")
     x = ja.mumford_to_point(model_g2, m1, tag)
     y = ja.mumford_to_point(model_g2, m2, tag)
-    # the op's own division: addflip_large divides s*W_D~ by y's brief form
-    # (own-section division); addflip_small divides s*W_E by the brief form of
-    # D~, which starts with another section.  Flips divide s*V.
-    name = "divide_own" if tag == ja.LARGE else "divide_raw"
-    divide = getattr(curverep, name)
+    # the op's own division is an own-section one in both ops: addflip_large
+    # divides s*W_D~ by y's brief form, addflip_small divides s*W_y by the
+    # brief form of D~ that it deflated at s.  Flips divide s*V.
+    divide = curverep.divide_own
     calls = []
 
-    def wrong_op_division(rep, w, *rest):
-        if name == "divide_own" and w == rep.full_v():
-            return divide(rep, w, *rest)
+    def wrong_op_division(rep, w, blocks):
+        if w == rep.full_v():
+            return divide(rep, w, blocks)
         # returning all of V gives the op's result degree 0
         calls.append(1)
         return rep.full_v()
 
-    monkeypatch.setattr(curverep, name, wrong_op_division)
+    monkeypatch.setattr(curverep, "divide_own", wrong_op_division)
     with pytest.raises(curverep.DegreeLawViolation, match="degree 0"):
         op(model_g2, x, y, ja.RandomStream("law"))
     assert len(calls) == 1
@@ -182,3 +181,33 @@ def test_equal_class_is_equivalence(bundle_g2, model_g2):
     assert ja.equal_class(model_g2, x2, x)
     x3 = ja.add(model_g2, x2, ja.zero_point(model_g2, ja.SMALL), rng)
     assert ja.equal_class(model_g2, x, x3)
+
+
+@pytest.mark.parametrize("form", ["a", "b0"])
+def test_small_sigma_ops_match_the_oracle(form):
+    # |Sigma| = 2 gives h > 2, where the side-by-side rank of the fused flips
+    # and of every deflation decides; the oracle criterion runs at h = 2 only
+    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(2, 1009, rng=ja.RandomStream("sigma2")),
+                           ja.RandomStream("sigma2-points"))
+    field = ja.make_prime_field(1009, sigma_size=2)
+    base, pre = bundle.precomp(form, with_cubic=False)
+    rep = (ja.RepA(field, base.g, base.Delta, base.tables, base.bridge_info) if form == "a"
+           else ja.RepB0(field, base.g, base.Delta, base.a_v, base.points, base.bridge_info))
+    model = ja.make_large_model(rep, pre, ja.RandomStream("sigma2-model"), compute_defl_v=False)
+    assert ja.igs_size_h(rep.Delta, 2 * model.d, 2) > 2
+    # the stored brief form of 2*D_0 is drawn at s0 and verified
+    assert (model.defl_2D0.sections[0] == model.s0).all()
+    assert ja.is_igs(rep, model.defl_2D0, 2 * model.d)
+    curve = bundle.curve
+    for i in range(3):
+        m1, m2, x, y = _pair(bundle, model, f"sigma2-{i}")
+        r = ja.RandomStream("sigma2-ops").split(i)
+        total = ja.cantor_add(curve, m1, m2)
+        assert ja.oracle_compare(model, ja.addflip_small(model, x, y, r),
+                                 ja.cantor_negate(curve, total))
+        assert ja.oracle_compare(model, ja.add(model, x, y, r), total)
+        assert ja.oracle_compare(model, ja.negate(model, x, r), ja.cantor_negate(curve, m1))
+        # a large negate divides by the stored brief form of 2*D_0 at
+        # W_2D0's first section, which is not s0 in point-value form
+        xl = ja.mumford_to_point(model, m1, ja.LARGE)
+        assert ja.oracle_compare(model, ja.negate(model, xl, r), ja.cantor_negate(curve, m1))
