@@ -17,6 +17,10 @@ protocol alone, whichever encoding it runs on:
 * ``from_v_coords(c)``: the subspace with coordinates c over E;
 * ``from_table_space(w)``: a canonical subspace given in table (monomial)
   coordinates, as this form's canonical subspace;
+* ``head(w)``: the section of W that heads its brief forms and flips: the
+  first canonical column in table form, the sum section W*1 (1 at every
+  pivot row of W) in point-value form;
+* ``own_kernel(s, w)``: rows spanning the left kernel of s*W;
 * ``add_checks(report)``: the form's own ``validate_rep`` checks.
 
 Division solves for coordinates over E in both forms: for each section the
@@ -38,18 +42,32 @@ side by side have rank dim(s*W + t_2*W + ... + t_h*W) - dim W, which for
 W = V is the codimension test of a generating set, so a flip can verify its
 candidate and divide on one K.
 
-The own-section users: flips at W_D's first canonical section (fused with
-their deflation), every deflation (``deflate`` verifies its candidates,
-headed by W_D's first canonical section or a given one, on K of s*V),
-both the middle division and the flips of
-``addflip_small``, the flip and the final division of ``addflip_large``,
-and ``equal_class``.  ``divide_product`` makes every division of s*W by a
-generating set an own-section one: a set headed by another section (a flip
-at an explicit s, or the point-value form's stored brief form of 2*D_0,
-headed by s0, in a flip or final division at W_2D0's first section) gets s
-put at its head, which leaves the divisor it generates and so the quotient
-unchanged.  ``divide_raw`` remains only for ``divide`` (``inflate``,
-``membership_test``), whose dividend is not a product s*W.
+K in table form is the left kernel of M_s*W, by elimination.  In
+point-value form multiplication is componentwise, so x kills s*W exactly
+when x∘s kills W, and K is read off W's canonical basis (pivot rows P, free
+rows F) with no elimination: for each f in F, row f is
+e_f - s_f*W[f, :]*diag(s_P)^{-1}, placed at the P columns.  Then
+(row∘s)*W = s_f*W[f, :] - s_f*W[f, :] = 0, and the N - dim W rows have an
+identity block on F; a zero of s at a free row makes its row the unit row
+e_f.  The formula needs s nonzero on P, which is why the point-value head
+is the sum section: a flip's s is 1 on the pivot rows of W_D.  On other
+rows of P (V's pivot rows outside W_D's, for instance) s can still vanish.
+Then the rows s_f*(e_f - W[f, :]) with s_f != 0 are first combined to
+vanish on those zeros Z_P (one elimination over |Z_P| columns), divided by
+s, and unit rows at the zeros of s are added.  Quotients and verdicts
+depend only on the row space of K, so every form gives the same quotients.
+
+The own-section users: flips at W_D's head (fused with their deflation),
+every deflation (``deflate`` verifies its candidates, headed by W_D's head
+or a given section, on K of s*V), both the middle division and the flips
+of ``addflip_small``, the flip and the final division of ``addflip_large``,
+and ``equal_class``.  A flip or division by a given brief form runs at that
+form's own head (the stored brief form of 2*D_0 is headed by s0).
+``divide_product`` makes every division of s*W by a generating set an
+own-section one: a set headed by another section (a flip at an explicit s)
+gets s put at its head, which leaves the divisor it generates and so the
+quotient unchanged.  ``divide_raw`` remains only for ``divide``
+(``inflate``, ``membership_test``), whose dividend is not a product s*W.
 
 Everything downstream (divisor representations, group operations) is built
 from four primitives on these encodings: single products, simple
@@ -118,6 +136,14 @@ class RepA:
         m_s = mult_matrix(self, s)
         return m_s if b is self.full_v().basis else m_s.dot(b) % self.field.p
 
+    def head(self, space: Subspace) -> np.ndarray:
+        """The space's first canonical column."""
+        return space.basis[:, 0].copy()
+
+    def own_kernel(self, s: np.ndarray, w: Subspace) -> np.ndarray:
+        """Rows spanning the left kernel of M_s * W, by elimination."""
+        return linalg.left_kernel_rows(self.field, _apply_mul(self, s, w.basis))
+
     def add_checks(self, report: ValidationReport) -> None:
         sym = bool(np.array_equal(self.tables, self.tables.transpose(2, 1, 0)))
         report.add("table symmetry c_ijk = c_jik", sym)
@@ -178,6 +204,31 @@ class RepB0:
     def apply_mul(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
         """s * b row by row: multiplication is componentwise."""
         return s[:, None] * b % self.field.p
+
+    def head(self, space: Subspace) -> np.ndarray:
+        """The sum section W*1 of the space: 1 at every pivot row of W."""
+        return space.basis.sum(axis=1) % self.field.p
+
+    def own_kernel(self, s: np.ndarray, w: Subspace) -> np.ndarray:
+        """Rows spanning the left kernel of s*W, read off W's canonical basis
+        (module docstring): row f is e_f - s_f*W[f, :]*diag(s_P)^{-1} at the
+        pivot rows P, with one elimination over |Z_P| columns only where s
+        vanishes on Z_P, a part of P."""
+        p = self.field.p
+        rows = linalg.constraint_rows(self.field, w)  # e_f - W[f, :] at P
+        pivots = w.pivot_rows
+        s_free = s[np.delete(np.arange(self.n), pivots)]
+        zero_pivots = pivots[s[pivots] == 0]
+        if not zero_pivots.size:
+            rows[:, pivots] = (rows[:, pivots] * s_free[:, None] % p
+                               * _inverses(self.field, s[pivots]) % p)
+            return rows
+        live = rows[s_free != 0] * s_free[s_free != 0][:, None] % p
+        live = linalg.left_kernel_rows(self.field, live[:, zero_pivots]).dot(live) % p
+        zeros = np.flatnonzero(s == 0)
+        units = linalg.zeros(self.field, len(zeros), self.n)
+        units[range(len(zeros)), zeros] = 1
+        return np.vstack([live * _inverses(self.field, s) % p, units])
 
     def add_checks(self, report: ValidationReport) -> None:
         report.add("rank A_V = delta",
@@ -257,10 +308,16 @@ def divide_raw(rep, wp_basis: np.ndarray, sections) -> Subspace:
 
 
 def own_kernel(rep, s: np.ndarray, w: Subspace) -> np.ndarray:
-    """Rows spanning K, the left kernel of s*W, for a nonzero section s."""
+    """Rows spanning K, the left kernel of s*W, for a nonzero section s:
+    ``rep.own_kernel`` under the one name the callers go through."""
     if not np.count_nonzero(s):
         raise ZeroSection("own-section division needs a nonzero first section")
-    return linalg.left_kernel_rows(rep.field, _apply_mul(rep, s, w.basis))
+    return rep.own_kernel(s, w)
+
+
+def _inverses(field: PrimeField, v: np.ndarray) -> np.ndarray:
+    """Entrywise inverses mod p, with 0 where v is 0."""
+    return np.array([pow(int(x), -1, field.p) if x else 0 for x in v], dtype=v.dtype)
 
 
 def own_blocks(rep, w: Subspace, sections, kw: np.ndarray | None = None) -> list[np.ndarray]:

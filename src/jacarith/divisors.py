@@ -128,11 +128,11 @@ def sigma_random_element(field, space: Subspace, rng) -> np.ndarray:
 
 
 def igs_candidate(rep, space: Subspace, h: int, rng) -> list[np.ndarray]:
-    """First canonical basis column plus h-1 Sigma-random elements."""
+    """The space's head (``rep.head``) plus h-1 Sigma-random elements."""
     if space.dim == 0:
         raise EmptySpace("cannot draw sections from the zero space")
-    first = space.basis[:, 0].copy()
-    return [first] + [sigma_random_element(rep.field, space, rng) for _ in range(h - 1)]
+    return [rep.head(space)] + [sigma_random_element(rep.field, space, rng)
+                                for _ in range(h - 1)]
 
 
 def random_igs_candidate(rep, d: DivisorFull, rng) -> DivisorBrief:
@@ -165,7 +165,7 @@ def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
             s: np.ndarray | None = None, kv: np.ndarray | None = None) -> DivisorBrief:
     """Las Vegas full-to-brief conversion; output is always verified.
 
-    Candidates are (s, t_2, ..., t_h): s is W_D's first canonical column, or
+    Candidates are (s, t_2, ..., t_h): s is W_D's head (``rep.head``), or
     the given nonzero section of W_D, and the t_i are the Sigma-random
     elements of W_D that ``random_igs_candidate`` draws.  Because s lies in
     W_D, a candidate generates D exactly when the blocks K*(t_i*V) side by
@@ -179,7 +179,7 @@ def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
         raise EmptySpace("cannot deflate the zero space")
     full = rep.full_v()
     if kv is None:
-        kv = curverep.own_kernel(rep, d.space.basis[:, 0] if s is None else s, full)
+        kv = curverep.own_kernel(rep, rep.head(d.space) if s is None else s, full)
     rank = rep.Delta - d.degree
 
     def draw():
@@ -256,30 +256,30 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
     The result satisfies deg E = Delta - deg D; the flip is computed as the
     division of s*V by a brief representation of D.  When that brief form
     starts with s, the division is the own-section one (``curverep``):
-    W_E = {u in V : t_i*u in s*V}.  At the default s, W_D's first canonical
-    column, which heads every candidate ``deflate`` draws, and without a
-    given brief form, deflation and division are fused: K, the left kernel
+    W_E = {u in V : t_i*u in s*V}.  At the default s, W_D's head
+    (``rep.head``), which heads every candidate ``deflate`` draws, and without
+    a given brief form, deflation and division are fused: K, the left kernel
     of s*V, is built once (or taken from kv, rows spanning it, which only
     this fused path reads, so it cannot go with s or defl); per candidate
     the blocks K*(t_i*V) side by side have rank Delta - deg D exactly when
     ``is_igs`` accepts, and their stacked kernel is the flip.  For h = 2 the
     one kernel gives both.  s also lies in W_E, so a caller can go on to
-    deflate E at s on the same K (``deflate`` with s and kv).  An explicit s
-    divides s*V by a deflation of D, and a given brief form headed by
-    another section divides by it, both with s put at the head of the brief
-    form (``curverep.divide_product``).
+    deflate E at s on the same K (``deflate`` with s and kv).  A given brief
+    form without s divides at its own head, s = defl.sections[0].  An
+    explicit s divides s*V by a deflation of D, or by the given brief form,
+    with s put at the head of the brief form (``curverep.divide_product``).
     """
     if kv is not None and (s is not None or defl is not None):
-        raise ValueError("kv is the kernel at W_D's first section; it cannot go with s or defl")
+        raise ValueError("kv is the kernel at W_D's head; it cannot go with s or defl")
     _require_comfort_degree(rep, d, "flip")
     if d.space.dim == 0:
         raise EmptySpace("cannot flip the zero space")
-    first = d.space.basis[:, 0]
+    head = rep.head(d.space)
     if s is None:
-        s = first.copy()
+        s = head if defl is None else defl.sections[0]
     if not np.count_nonzero(s):
         raise curverep.ZeroSection("flip needs a nonzero section of W_D")
-    if defl is None and np.array_equal(s, first):
+    if defl is None and np.array_equal(s, head):
         space = _deflate_and_divide(rep, d, s, rng, stats, kv)
     else:
         if defl is None:
@@ -292,7 +292,7 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
 def _deflate_and_divide(rep, d: DivisorFull, s: np.ndarray, rng,
                         stats: RetryStats | None, kv: np.ndarray | None) -> Subspace:
     """``deflate`` and the own-section division of s*V in one loop, for s
-    the first section of every candidate: same draws, same verdicts, same
+    the head of every candidate: same draws, same verdicts, same
     statistics, one K for all candidates."""
     full = rep.full_v()
     if kv is None:

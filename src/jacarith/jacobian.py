@@ -111,9 +111,9 @@ class LargeModel:
         return divisors.deflate(self.rep, d, self._stream(d, rng), self.stats)
 
     def flip_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorFull:
-        """Flip of d at its first canonical section: by the stored brief
-        representation for D_0 and 2*D_0, else fused with the deflation on
-        the stream ``defl_of`` would draw from."""
+        """Flip of d: at the head of the stored brief representation for
+        D_0 and 2*D_0 (s0 for 2*D_0), else at d's head, fused with the
+        deflation on the stream ``defl_of`` would draw from."""
         stored = self._stored_defl(d)
         if stored is not None:
             return divisors.flip(self.rep, d, rng, defl=stored)
@@ -179,8 +179,8 @@ def _space_bytes(space: Subspace) -> bytes:
 def equal_class(model: LargeModel, x: JacobianPoint, y: JacobianPoint) -> bool:
     """Whether x and y are the same divisor class.
 
-    Divides s * W_E by a brief representation of D (s the first canonical
-    section of W_D, which heads that brief form); the quotient space is
+    Divides s * W_E by a brief representation of D (s the section that
+    heads that brief form: W_D's head, or s0 for 2*D_0); the quotient space is
     nonzero exactly when the classes agree.  The division is the
     own-section one, so the test is rank < dim W_E on the blocks K*(t_i*W_E).
     The intermediate divisor has degree Delta, beyond the usual comfort
@@ -200,7 +200,7 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
                   rng: RandomStream) -> JacobianPoint:
     """addflip on small representatives: flip, divide, flip again.
 
-    With s the first canonical section of W_x and (s) = D_x + D~, the first
+    With s the head of W_x (``rep.head``) and (s) = D_x + D~, the first
     flip gives W_D~.  s lies in W_D~, so D~ is deflated at s on the left
     kernel of s*V that the flip built (``divisors.deflate`` at s), and the
     middle division of s*W_y by that brief form is the own-section one over
@@ -218,7 +218,7 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
         s = model.s0
         defl_dt = model.defl_2D0
     else:
-        s = x.space.basis[:, 0].copy()
+        s = rep.head(x.space)
         kv = curverep.own_kernel(rep, s, rep.full_v())
         d_tilde = divisors.flip(rep, x.divisor, rng, stats=model.stats, kv=kv)
         defl_dt = divisors.deflate(rep, d_tilde, rng, model.stats, s=s, kv=kv)
@@ -231,16 +231,20 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
 
 def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
                   rng: RandomStream) -> JacobianPoint:
-    """addflip on large representatives: one flip and one divide."""
+    """addflip on large representatives: one flip and one divide.
+
+    x is flipped at its head (``LargeModel.flip_of``) to D~, and s*W_D~ is
+    divided by y's brief form at that form's own head s, so the division
+    stacks one block per other section of the form.
+    """
     _require(model, x, LARGE)
     _require(model, y, LARGE)
     rep = model.rep
     d_tilde = model.flip_of(x.divisor, rng)
-    # divide s*W_D~ by y's brief form, s y's first section; the brief form
-    # starts with s unless it is the stored one of 2*D_0, headed by s0, and
-    # s0 is not W_2D0's first section (then s is put at its head)
+    # divide s*W_D~ by y's brief form at its own head s: y's head, or s0
+    # for the stored brief form of 2*D_0
     defl_e = model.defl_of(y.divisor, rng)
-    s = y.space.basis[:, 0]
+    s = defl_e.sections[0]
     out = divisors.divisor_from_space(
         rep, curverep.divide_product(rep, s, d_tilde.space, defl_e.sections))
     divisors.require_degree(out, 2 * model.d, "addflip of large divisors")

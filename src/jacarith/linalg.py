@@ -120,6 +120,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @property
+    def pivot_rows(self) -> np.ndarray:
+        """Row of each column's pivot: its first nonzero entry (a 1)."""
+        return np.argmax(self.basis != 0, axis=0)
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient == other.ambient
@@ -172,8 +177,19 @@ def left_kernel_rows(field: PrimeField, a: np.ndarray) -> np.ndarray:
 
 
 def constraint_rows(field: PrimeField, s: Subspace) -> np.ndarray:
-    """A matrix K with ker K = the subspace (K has full row rank)."""
-    return left_kernel_rows(field, s.basis)
+    """A matrix K with ker K = the subspace (K has full row rank).
+
+    Row f, for each free (non-pivot) row f of the canonical basis W, is
+    e_f - W[f, :] placed at the pivot rows: ``left_kernel_rows(field, W)``
+    read off without elimination, since W's transpose is already in reduced
+    row echelon form.
+    """
+    pivots = s.pivot_rows
+    free = np.delete(np.arange(s.ambient), pivots)
+    rows = zeros(field, len(free), s.ambient)
+    rows[range(len(free)), free] = 1
+    rows[:, pivots] = -s.basis[free] % field.p
+    return rows
 
 
 def contains_vector(s: Subspace, v: np.ndarray) -> bool:

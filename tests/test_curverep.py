@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import jacarith as ja
 from jacarith import curverep, linalg
@@ -327,6 +329,47 @@ def test_divide_own_matches_divide_raw(data):
     if form == "b0":
         ref, ref_nonzero = _reference_division(rep, raw, sections)
         assert ref == want and ref_nonzero == nonzero
+
+
+# The point-value form reads K, the left kernel of s*W, off W's canonical
+# basis; the reference is left_kernel_rows of s*W, by elimination.  s is the
+# head of another subspace W_D (nonzero at W_D's pivot rows, as in a flip),
+# or a section of V forced to vanish at some pivot rows of W, where the
+# closed form needs its one small elimination.
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_repb0_own_kernel_matches_elimination(data):
+    rep = _b0_rep(data.draw(st.sampled_from((2, 3))),
+                  data.draw(st.sampled_from((1009, 2**31 - 1))))
+    field, p = rep.field, rep.field.p
+    e = rep.full_v().basis
+    w = linalg.column_echelon(field, _draw_in_v(data, rep, data.draw(st.integers(1, rep.delta))))
+    assume(w.dim > 0)
+    if data.draw(st.booleans()):
+        w_d = linalg.column_echelon(
+            field, _draw_in_v(data, rep, data.draw(st.integers(1, rep.delta))))
+        assume(w_d.dim > 0)
+        s = rep.head(w_d)
+        assert (s[w_d.pivot_rows] == 1).all() and linalg.contains_vector(w_d, s)
+    else:
+        zeros = data.draw(st.lists(st.sampled_from(w.pivot_rows.tolist()), min_size=1,
+                                   max_size=rep.delta - 1, unique=True))
+        c = linalg.kernel_basis(field, e[zeros])
+        s = e.dot(c.basis.dot(_draw_matrix(data, field, c.dim, 1))[:, 0] % p) % p
+        assume(np.count_nonzero(s))
+        assert not np.count_nonzero(s[zeros])
+    s_w = rep.apply_mul(s, w.basis)
+    want = linalg.left_kernel_rows(field, s_w)
+    with mock.patch.object(linalg, "left_kernel_rows", wraps=linalg.left_kernel_rows) as lk:
+        k = curverep.own_kernel(rep, s, w)
+    # the elimination runs only where s vanishes at a pivot row of W
+    assert lk.called == (not s[w.pivot_rows].all())
+    assert k.shape == want.shape == (rep.n - w.dim, rep.n)
+    assert k.dtype == want.dtype
+    assert not np.count_nonzero(k.dot(s_w) % p)
+    assert (linalg.matrix_rank(field, np.vstack([k, want]))
+            == linalg.matrix_rank(field, k) == want.shape[0])
 
 
 def test_own_division_needs_a_nonzero_first_section(b0_bundle):

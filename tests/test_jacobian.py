@@ -207,7 +207,36 @@ def test_small_sigma_ops_match_the_oracle(form):
                                  ja.cantor_negate(curve, total))
         assert ja.oracle_compare(model, ja.add(model, x, y, r), total)
         assert ja.oracle_compare(model, ja.negate(model, x, r), ja.cantor_negate(curve, m1))
-        # a large negate divides by the stored brief form of 2*D_0 at
-        # W_2D0's first section, which is not s0 in point-value form
+        # a large negate divides by the stored brief form of 2*D_0 at its
+        # own head s0, which is not W_2D0's head in point-value form
         xl = ja.mumford_to_point(model, m1, ja.LARGE)
         assert ja.oracle_compare(model, ja.negate(model, xl, r), ja.cantor_negate(curve, m1))
+
+
+@pytest.mark.parametrize("g, p", [(1, 1009), (2, 1009), (3, 1009), (4, 1009), (2, 2**31 - 1)])
+def test_point_value_ops_match_the_oracle(g, p):
+    # the point-value form heads its brief forms with the sum section and
+    # reads K off the canonical basis, so its representatives differ from
+    # the table form's; the classes must be Cantor's
+    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(g, p, rng=ja.RandomStream(f"b0-oracle-{g}")),
+                           ja.RandomStream(f"b0-oracle-points-{g}"))
+    model = bundle.large_model(ja.RandomStream(f"b0-oracle-model-{g}"), "b0",
+                               compute_defl_v=False)
+    curve = bundle.curve
+    for i in range(4):
+        m1, m2, x, y = _pair(bundle, model, f"b0-oracle-{g}-{i}")
+        r = ja.RandomStream(f"b0-oracle-ops-{g}").split(i)
+        xl, yl = (ja.mumford_to_point(model, m, ja.LARGE) for m in (m1, m2))
+        total = ja.cantor_add(curve, m1, m2)
+        neg_total, neg_x = ja.cantor_negate(curve, total), ja.cantor_negate(curve, m1)
+        for got, want in ((ja.addflip_small(model, x, y, r.split("afs")), neg_total),
+                          (ja.addflip_large(model, xl, yl, r.split("afl")), neg_total),
+                          (ja.add(model, x, y, r.split("add")), total),
+                          (ja.negate(model, x, r.split("neg")), neg_x),
+                          (ja.negate(model, xl, r.split("negl")), neg_x),
+                          (ja.scalar_mul(model, 3, x, r.split("smul")),
+                           ja.cantor_scalar(curve, 3, m1))):
+            assert ja.oracle_compare(model, got, want)
+        assert ja.equal_class(model, x, y) == (m1 == m2)
+        assert ja.equal_class(model, ja.mumford_to_point(model, total),
+                              ja.add(model, x, y, r.split("add2")))

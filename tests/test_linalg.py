@@ -296,3 +296,24 @@ def test_int64_overflow_bound_is_checked(monkeypatch):
     assert linalg.matrix_rank(field, np.array([[3, 4, 5], [1, 1, 1]])) == 2
     with pytest.raises(OverflowError):
         linalg.rref(field, np.arange(9).reshape(3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_constraint_rows_are_read_off_the_canonical_basis(data):
+    # constraint_rows builds the rows e_f - W[f, :] without elimination; they
+    # must be exactly what left_kernel_rows computes by rref, dtype included
+    field = ja.make_prime_field(data.draw(st.sampled_from((2, 1009, 2**31 - 1))))
+    n = data.draw(st.integers(1, 9))
+    cols = data.draw(st.integers(0, n + 1))
+    entries = data.draw(st.lists(st.integers(0, field.p - 1), min_size=n * cols,
+                                 max_size=n * cols))
+    a = linalg.zeros(field, n, cols)
+    for k, x in enumerate(entries):
+        a[k // cols, k % cols] = x
+    s = linalg.column_echelon(field, a)
+    got = linalg.constraint_rows(field, s)
+    want = linalg.left_kernel_rows(field, s.basis)
+    assert got.dtype == want.dtype == linalg.dtype_for(field)
+    assert np.array_equal(got, want)
+    assert np.array_equal(s.basis[s.pivot_rows], linalg.identity(field, s.dim))

@@ -9,6 +9,8 @@
 * Every public module-level function is referenced by engine code other
   than its own definition, or re-exported by ``__init__.py``: a helper that
   only tests call belongs in the tests.
+* ``divisors`` and ``jacobian`` take no ``basis[:, 0]``: the section that
+  heads brief forms and flips is chosen by ``rep.head`` alone.
 """
 
 import ast
@@ -20,6 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "jacarith"
 MODULES = sorted(SRC.glob("*.py"))
 ENGINE = {path.stem for path in MODULES}
 ALLOWED = {("curverep", "_apply_mul")}
+HEAD_POLICY = {"divisors", "jacobian"}  # modules that take heads from rep.head
 
 
 def _private(name: str) -> bool:
@@ -37,6 +40,14 @@ def _module_aliases(tree) -> dict:
     return out
 
 
+def _first_column(node) -> bool:
+    """Whether node is ``<expr>.basis[:, 0]``."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "basis" and isinstance(node.slice, ast.Tuple)
+            and len(node.slice.elts) == 2 and isinstance(node.slice.elts[0], ast.Slice)
+            and isinstance(node.slice.elts[1], ast.Constant) and node.slice.elts[1].value == 0)
+
+
 def violations(path: Path) -> list:
     tree = ast.parse(path.read_text(), filename=str(path))
     aliases = _module_aliases(tree)
@@ -45,6 +56,8 @@ def violations(path: Path) -> list:
         where = f"{path.name}:{getattr(node, 'lineno', 0)}"
         if isinstance(node, ast.Assert):
             found.append(f"{where}: assert statement")
+        elif path.stem in HEAD_POLICY and _first_column(node):
+            found.append(f"{where}: basis[:, 0] instead of rep.head")
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in aliases and _private(node.attr)
               and (aliases[node.value.id], node.attr) not in ALLOWED):
@@ -73,6 +86,18 @@ def test_rules_catch_what_they_describe(tmp_path):
     assert [v.split(": ", 1)[1] for v in violations(bad)] == [
         "from .linalg import _eliminate", "assert statement",
         "jacobian._space_bytes", "cr._division_stack"]
+
+
+def test_head_rule_catches_what_it_describes(tmp_path):
+    source = ("s = x.space.basis[:, 0].copy()\n"
+              "t = x.space.basis[:, 1]\n"
+              "u = rep.head(x.space)\n")
+    for name in ("divisors.py", "jacobian.py", "curverep.py"):
+        (tmp_path / name).write_text(source)
+    assert [v.split(": ", 1)[1] for v in violations(tmp_path / "jacobian.py")] == [
+        "basis[:, 0] instead of rep.head"]
+    assert len(violations(tmp_path / "divisors.py")) == 1
+    assert violations(tmp_path / "curverep.py") == []
 
 
 def uncalled_functions(paths) -> list:
