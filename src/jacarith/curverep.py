@@ -20,7 +20,8 @@ protocol alone, whichever encoding it runs on:
 * ``head(w)``: the section of W that heads its brief forms and flips: the
   first canonical column in table form, the sum section W*1 (1 at every
   pivot row of W) in point-value form;
-* ``own_kernel(s, w)``: rows spanning the left kernel of s*W;
+* ``own_kernel(s, w)``: K, the left kernel of s*W, as an ``OwnKernel``
+  whose ``block(t)`` is K*(t*W);
 * ``add_checks(report)``: the form's own ``validate_rep`` checks.
 
 Division solves for coordinates over E in both forms: for each section the
@@ -42,20 +43,24 @@ side by side have rank dim(s*W + t_2*W + ... + t_h*W) - dim W, which for
 W = V is the codimension test of a generating set, so a flip can verify its
 candidate and divide on one K.
 
-K in table form is the left kernel of M_s*W, by elimination.  In
-point-value form multiplication is componentwise, so x kills s*W exactly
-when x∘s kills W, and K is read off W's canonical basis (pivot rows P, free
-rows F) with no elimination: for each f in F, row f is
-e_f - s_f*W[f, :]*diag(s_P)^{-1}, placed at the P columns.  Then
-(row∘s)*W = s_f*W[f, :] - s_f*W[f, :] = 0, and the N - dim W rows have an
-identity block on F; a zero of s at a free row makes its row the unit row
-e_f.  The formula needs s nonzero on P, which is why the point-value head
-is the sum section: a flip's s is 1 on the pivot rows of W_D.  On other
-rows of P (V's pivot rows outside W_D's, for instance) s can still vanish.
-Then the rows s_f*(e_f - W[f, :]) with s_f != 0 are first combined to
-vanish on those zeros Z_P (one elimination over |Z_P| columns), divided by
-s, and unit rows at the zeros of s are added.  Quotients and verdicts
-depend only on the row space of K, so every form gives the same quotients.
+K in table form is the left kernel of M_s*W, by elimination, and each
+block is its rows times M_t*W.  In point-value form multiplication is
+componentwise, so x kills s*W exactly when x∘s kills W, and K can be read
+off W's canonical basis (pivot rows P, free rows F) with no elimination:
+for each f in F, row f is e_f - s_f*W[f, :]*diag(s_P)^{-1}, placed at the
+P columns.  Then (row∘s)*W = s_f*W[f, :] - s_f*W[f, :] = 0, and the
+N - dim W rows have an identity block on F; a zero of s at a free row makes
+its row the unit row e_f.  K is never built: W[P, :] is the identity, so
+entry (f, j) of K*(t*W) is W[f, j]*(t_f - s_f*t_{P_j}/s_{P_j}), and a block
+is |F| x dim W elementwise products, with no matrix product.  The formula
+needs s nonzero on P, which is why the point-value head is the sum
+section: a flip's s is 1 on the pivot rows of W_D.  On other rows of P (V's
+pivot rows outside W_D's, for instance) s can still vanish.  Then the rows
+s_f*(e_f - W[f, :]) with s_f != 0 are first combined to vanish on those
+zeros Z_P (one elimination over |Z_P| columns), divided by s, and unit rows
+at the zeros of s are added; that K keeps its rows, and its blocks are
+products as in table form.  Quotients and verdicts depend only on the row
+space of K, so every form gives the same quotients.
 
 The own-section users: flips at W_D's head (fused with their deflation),
 every deflation (``deflate`` verifies its candidates, headed by W_D's head
@@ -77,6 +82,7 @@ multiplication s*W, sums of products, and division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Protocol
 
 import numpy as np
 
@@ -96,6 +102,45 @@ class AllZeroSections(ValueError):
 class DegreeLawViolation(RuntimeError):
     """An elimination result broke a dimension or degree law that holds on
     consistent curve data (so the data is not what it claims to be)."""
+
+
+class OwnKernel(Protocol):
+    """K, the left kernel of s*W for a nonzero section s, as
+    ``rep.own_kernel`` returns it: ``block(t)`` is K*(t*W), one row per row
+    of K and dim W columns, in canonical residues."""
+
+    def block(self, t: np.ndarray) -> np.ndarray: ...
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelRows:
+    """K held as rows; each block is the product of the rows with t*W."""
+
+    rep: object
+    w: Subspace
+    rows: np.ndarray
+
+    def block(self, t: np.ndarray) -> np.ndarray:
+        return self.rows.dot(_apply_mul(self.rep, t, self.w.basis)) % self.rep.field.p
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelReadOff:
+    """The point-value K for s nonzero on W's pivot rows P, never built:
+    entry (f, j) of a block is W[f, j]*(t_f - s_f*t_{P_j}/s_{P_j}) over the
+    free rows F (module docstring)."""
+
+    p: int
+    free: np.ndarray
+    pivots: np.ndarray
+    w_free: np.ndarray        # W[F, :]
+    s_free: np.ndarray        # s_F as a column
+    inv_s_pivots: np.ndarray  # s_P^{-1}
+
+    def block(self, t: np.ndarray) -> np.ndarray:
+        p = self.p
+        t_over_s = t[self.pivots] * self.inv_s_pivots % p
+        return self.w_free * ((t[self.free, None] - self.s_free * t_over_s) % p) % p
 
 
 class RepA:
@@ -140,9 +185,10 @@ class RepA:
         """The space's first canonical column."""
         return space.basis[:, 0].copy()
 
-    def own_kernel(self, s: np.ndarray, w: Subspace) -> np.ndarray:
-        """Rows spanning the left kernel of M_s * W, by elimination."""
-        return linalg.left_kernel_rows(self.field, _apply_mul(self, s, w.basis))
+    def own_kernel(self, s: np.ndarray, w: Subspace) -> OwnKernel:
+        """K, the left kernel of M_s * W, as rows found by elimination."""
+        return _KernelRows(self, w, linalg.left_kernel_rows(
+            self.field, _apply_mul(self, s, w.basis)))
 
     def add_checks(self, report: ValidationReport) -> None:
         sym = bool(np.array_equal(self.tables, self.tables.transpose(2, 1, 0)))
@@ -209,26 +255,27 @@ class RepB0:
         """The sum section W*1 of the space: 1 at every pivot row of W."""
         return space.basis.sum(axis=1) % self.field.p
 
-    def own_kernel(self, s: np.ndarray, w: Subspace) -> np.ndarray:
-        """Rows spanning the left kernel of s*W, read off W's canonical basis
-        (module docstring): row f is e_f - s_f*W[f, :]*diag(s_P)^{-1} at the
-        pivot rows P, with one elimination over |Z_P| columns only where s
-        vanishes on Z_P, a part of P."""
+    def own_kernel(self, s: np.ndarray, w: Subspace) -> OwnKernel:
+        """K, the left kernel of s*W, read off W's canonical basis (module
+        docstring): row f is e_f - s_f*W[f, :]*diag(s_P)^{-1} at the pivot
+        rows P, and K is never built; its blocks are elementwise.  Only where
+        s vanishes on Z_P, a part of P, are its rows built, by one
+        elimination over |Z_P| columns, and its blocks are products."""
         p = self.field.p
-        rows = linalg.constraint_rows(self.field, w)  # e_f - W[f, :] at P
         pivots = w.pivot_rows
-        s_free = s[np.delete(np.arange(self.n), pivots)]
+        free = np.delete(np.arange(self.n), pivots)
+        s_free = s[free]
         zero_pivots = pivots[s[pivots] == 0]
         if not zero_pivots.size:
-            rows[:, pivots] = (rows[:, pivots] * s_free[:, None] % p
-                               * _inverses(self.field, s[pivots]) % p)
-            return rows
+            return _KernelReadOff(p, free, pivots, w.basis[free], s_free[:, None],
+                                  _inverses(self.field, s[pivots]))
+        rows = linalg.constraint_rows(self.field, w)  # e_f - W[f, :] at P
         live = rows[s_free != 0] * s_free[s_free != 0][:, None] % p
         live = linalg.left_kernel_rows(self.field, live[:, zero_pivots]).dot(live) % p
         zeros = np.flatnonzero(s == 0)
         units = linalg.zeros(self.field, len(zeros), self.n)
         units[range(len(zeros)), zeros] = 1
-        return np.vstack([live * _inverses(self.field, s) % p, units])
+        return _KernelRows(self, w, np.vstack([live * _inverses(self.field, s) % p, units]))
 
     def add_checks(self, report: ValidationReport) -> None:
         report.add("rank A_V = delta",
@@ -307,9 +354,9 @@ def divide_raw(rep, wp_basis: np.ndarray, sections) -> Subspace:
     return rep.from_v_coords(linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections)))
 
 
-def own_kernel(rep, s: np.ndarray, w: Subspace) -> np.ndarray:
-    """Rows spanning K, the left kernel of s*W, for a nonzero section s:
-    ``rep.own_kernel`` under the one name the callers go through."""
+def own_kernel(rep, s: np.ndarray, w: Subspace) -> OwnKernel:
+    """K, the left kernel of s*W, for a nonzero section s: ``rep.own_kernel``
+    under the one name the callers go through."""
     if not np.count_nonzero(s):
         raise ZeroSection("own-section division needs a nonzero first section")
     return rep.own_kernel(s, w)
@@ -320,14 +367,13 @@ def _inverses(field: PrimeField, v: np.ndarray) -> np.ndarray:
     return np.array([pow(int(x), -1, field.p) if x else 0 for x in v], dtype=v.dtype)
 
 
-def own_blocks(rep, w: Subspace, sections, kw: np.ndarray | None = None) -> list[np.ndarray]:
+def own_blocks(rep, w: Subspace, sections, kw: OwnKernel | None = None) -> list[np.ndarray]:
     """The constraint blocks K*(t_i*W) of dividing s*W by (s, t_2, ..., t_h),
-    s = sections[0], one block per nonzero t_i.  K is kw when given (rows
-    spanning the left kernel of s*W), else it is built here."""
+    s = sections[0], one block per nonzero t_i.  kw, when given, is K as
+    ``rep.own_kernel`` returns it for s and W; otherwise it is built here."""
     if kw is None:
         kw = own_kernel(rep, sections[0], w)
-    return [kw.dot(_apply_mul(rep, t, w.basis)) % rep.field.p
-            for t in sections[1:] if np.count_nonzero(t)]
+    return [kw.block(t) for t in sections[1:] if np.count_nonzero(t)]
 
 
 def divide_own(rep, w: Subspace, blocks) -> Subspace:

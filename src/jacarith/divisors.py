@@ -162,7 +162,8 @@ def _require_comfort_degree(rep, d: DivisorFull, what: str) -> None:
 
 
 def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
-            s: np.ndarray | None = None, kv: np.ndarray | None = None) -> DivisorBrief:
+            s: np.ndarray | None = None,
+            kv: curverep.OwnKernel | None = None) -> DivisorBrief:
     """Las Vegas full-to-brief conversion; output is always verified.
 
     Candidates are (s, t_2, ..., t_h): s is W_D's head (``rep.head``), or
@@ -171,8 +172,8 @@ def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
     W_D, a candidate generates D exactly when the blocks K*(t_i*V) side by
     side have rank Delta - deg D, K the left kernel of s*V (the test a fused
     ``flip`` makes): ``is_igs``'s verdict on a smaller matrix, with one K
-    for all candidates.  kv, when given, holds rows spanning that K for the
-    s used, e.g. from the flip that produced D.
+    for all candidates.  kv, when given, is that K for the s used, as
+    ``rep.own_kernel`` returns it, e.g. from the flip that produced D.
     """
     _require_comfort_degree(rep, d, "deflation")
     if d.space.dim == 0:
@@ -250,7 +251,7 @@ def inflate(rep, brief: DivisorBrief, defl_v: IgsV) -> DivisorFull:
 
 def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
          defl: DivisorBrief | None = None, stats: RetryStats | None = None,
-         kv: np.ndarray | None = None) -> DivisorFull:
+         kv: curverep.OwnKernel | None = None) -> DivisorFull:
     """Complementary divisor: for s in W_D with (s) = D + E, compute W_E.
 
     The result satisfies deg E = Delta - deg D; the flip is computed as the
@@ -259,15 +260,16 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
     W_E = {u in V : t_i*u in s*V}.  At the default s, W_D's head
     (``rep.head``), which heads every candidate ``deflate`` draws, and without
     a given brief form, deflation and division are fused: K, the left kernel
-    of s*V, is built once (or taken from kv, rows spanning it, which only
-    this fused path reads, so it cannot go with s or defl); per candidate
-    the blocks K*(t_i*V) side by side have rank Delta - deg D exactly when
-    ``is_igs`` accepts, and their stacked kernel is the flip.  For h = 2 the
-    one kernel gives both.  s also lies in W_E, so a caller can go on to
-    deflate E at s on the same K (``deflate`` with s and kv).  A given brief
-    form without s divides at its own head, s = defl.sections[0].  An
-    explicit s divides s*V by a deflation of D, or by the given brief form,
-    with s put at the head of the brief form (``curverep.divide_product``).
+    of s*V, is built once (or taken from kv, K as ``rep.own_kernel``
+    returns it, which only this fused path reads, so it cannot go with s or
+    defl); per candidate the blocks K*(t_i*V) side by side have rank
+    Delta - deg D exactly when ``is_igs`` accepts, and their stacked kernel
+    is the flip.  For h = 2 the one kernel gives both.  s also lies in W_E,
+    so a caller can go on to deflate E at s on the same K (``deflate`` with
+    s and kv).  A given brief form without s divides at its own head,
+    s = defl.sections[0].  An explicit s divides s*V by a deflation of D, or
+    by the given brief form, with s put at the head of the brief form
+    (``curverep.divide_product``).
     """
     if kv is not None and (s is not None or defl is not None):
         raise ValueError("kv is the kernel at W_D's head; it cannot go with s or defl")
@@ -290,10 +292,12 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
 
 
 def _deflate_and_divide(rep, d: DivisorFull, s: np.ndarray, rng,
-                        stats: RetryStats | None, kv: np.ndarray | None) -> Subspace:
+                        stats: RetryStats | None,
+                        kv: curverep.OwnKernel | None) -> Subspace:
     """``deflate`` and the own-section division of s*V in one loop, for s
     the head of every candidate: same draws, same verdicts, same
-    statistics, one K for all candidates."""
+    statistics, one K for all candidates (kv, K as ``rep.own_kernel``
+    returns it, when given)."""
     full = rep.full_v()
     if kv is None:
         kv = curverep.own_kernel(rep, s, full)

@@ -70,18 +70,21 @@ def _eliminate(field: PrimeField, a: np.ndarray, full: bool) -> tuple[np.ndarray
             break
         if dirty:
             r[0 if full else row:, col] %= p
-        nz = np.flatnonzero(r[row:, col])
+        nz = r[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         i = row + int(nz[0])
         if i != row:
-            r[[row, i]] = r[[i, row]]
+            # left of col both rows are zero (full) or never read again (rank)
+            r[[row, i], col:] = r[[i, row], col:]
+        prow = r[row, col:]  # a view: the pivot row is reduced and scaled in place
         if dirty:
-            r[row, col:] %= p
-        inv = pow(int(r[row, col]), -1, p)
+            prow %= p
+        inv = pow(int(prow[0]), -1, p)
         if full:
             if inv != 1:
-                r[row, col:] = r[row, col:] * inv % p
+                prow *= inv
+                prow %= p
             factors = r[:, col].copy()
             factors[row] = 0
             top = 0
@@ -89,7 +92,7 @@ def _eliminate(field: PrimeField, a: np.ndarray, full: bool) -> tuple[np.ndarray
             top = row + 1
             factors = r[top:, col] * inv % p
         if np.count_nonzero(factors):
-            r[top:, col:] -= np.outer(factors, r[row, col:])
+            r[top:, col:] -= factors[:, None] * prow
             dirty = True
         pivots.append(col)
         row += 1

@@ -332,10 +332,25 @@ def test_divide_own_matches_divide_raw(data):
 
 
 # The point-value form reads K, the left kernel of s*W, off W's canonical
-# basis; the reference is left_kernel_rows of s*W, by elimination.  s is the
-# head of another subspace W_D (nonzero at W_D's pivot rows, as in a flip),
-# or a section of V forced to vanish at some pivot rows of W, where the
-# closed form needs its one small elimination.
+# basis and never builds it: each block K*(t*W) is elementwise.  The
+# reference is left_kernel_rows of s*W, by elimination, and the rows of the
+# documented formula times t*W.  s is the head of another subspace W_D
+# (nonzero at W_D's pivot rows, as in a flip), or a section of V forced to
+# vanish at some pivot rows of W, where K keeps its rows (one small
+# elimination) and its blocks are products.
+
+def _formula_rows(rep, s, w):
+    """Row f = e_f - s_f*W[f, :]*diag(s_P)^{-1} at the pivot rows P."""
+    p, pivots = rep.field.p, w.pivot_rows
+    free = np.delete(np.arange(rep.n), pivots)
+    rows = linalg.zeros(rep.field, len(free), rep.n)
+    rows[range(len(free)), free] = 1
+    for k, pr in enumerate(pivots):
+        inv = pow(int(s[pr]), -1, p)
+        for i, f in enumerate(free):
+            rows[i, pr] = -int(s[f]) * int(w.basis[f, k]) * inv % p
+    return rows
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
@@ -359,17 +374,31 @@ def test_repb0_own_kernel_matches_elimination(data):
         s = e.dot(c.basis.dot(_draw_matrix(data, field, c.dim, 1))[:, 0] % p) % p
         assume(np.count_nonzero(s))
         assert not np.count_nonzero(s[zeros])
+    read_off = bool(s[w.pivot_rows].all())
+    # t from W, from V, and t = 0, which own_blocks skips
+    ts = [w.basis.dot(_draw_matrix(data, field, w.dim, 1))[:, 0] % p,
+          _draw_in_v(data, rep, 1)[:, 0], np.zeros(rep.n, dtype=linalg.dtype_for(field))]
     s_w = rep.apply_mul(s, w.basis)
     want = linalg.left_kernel_rows(field, s_w)
-    with mock.patch.object(linalg, "left_kernel_rows", wraps=linalg.left_kernel_rows) as lk:
+    with mock.patch.object(linalg, "left_kernel_rows", wraps=linalg.left_kernel_rows) as lk, \
+            mock.patch.object(curverep, "_apply_mul", wraps=curverep._apply_mul) as mul:
         k = curverep.own_kernel(rep, s, w)
-    # the elimination runs only where s vanishes at a pivot row of W
-    assert lk.called == (not s[w.pivot_rows].all())
-    assert k.shape == want.shape == (rep.n - w.dim, rep.n)
-    assert k.dtype == want.dtype
-    assert not np.count_nonzero(k.dot(s_w) % p)
-    assert (linalg.matrix_rank(field, np.vstack([k, want]))
-            == linalg.matrix_rank(field, k) == want.shape[0])
+        blocks = curverep.own_blocks(rep, w, [s] + ts, k)
+    # the elimination, and every product, run only where s vanishes at a
+    # pivot row of W
+    assert lk.called == (not read_off)
+    live = [t for t in ts if np.count_nonzero(t)]
+    assert mul.call_count == (0 if read_off else len(live))
+    rows = _formula_rows(rep, s, w) if read_off else k.rows
+    assert rows.shape == want.shape == (rep.n - w.dim, rep.n)
+    assert rows.dtype == want.dtype
+    assert not np.count_nonzero(rows.dot(s_w) % p)
+    assert (linalg.matrix_rank(field, np.vstack([rows, want]))
+            == linalg.matrix_rank(field, rows) == want.shape[0])
+    assert len(blocks) == len(live)
+    for t, block in zip(live, blocks):
+        ref = rows.dot(rep.apply_mul(t, w.basis)) % p
+        assert block.dtype == ref.dtype and np.array_equal(block, ref)
 
 
 def test_own_division_needs_a_nonzero_first_section(b0_bundle):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import jacarith as ja
 from jacarith import linalg
@@ -256,10 +256,7 @@ def _matrix(field, rows, m, n):
 _REFERENCE = settings(max_examples=300, deadline=None)
 
 
-@_REFERENCE
-@given(_matrices())
-def test_rref_and_rank_match_reference(case):
-    p, rows, m, n = case
+def _check_rref_and_rank(p, rows, m, n):
     field = ja.make_prime_field(p)
     a = _matrix(field, rows, m, n)
     want, want_pivots = _reference_rref(rows, n, p)
@@ -270,10 +267,7 @@ def test_rref_and_rank_match_reference(case):
     assert _as_lists(a) == rows  # the input is left alone
 
 
-@_REFERENCE
-@given(_matrices())
-def test_kernels_match_reference(case):
-    p, rows, m, n = case
+def _check_kernels(p, rows, m, n):
     field = ja.make_prime_field(p)
     a = _matrix(field, rows, m, n)
     vectors = _reference_kernel_vectors(rows, n, p)
@@ -285,6 +279,75 @@ def test_kernels_match_reference(case):
     want_rows = _reference_kernel_vectors(_transpose(rows, n), m, p)
     assert got_rows.shape == (len(want_rows), m)
     assert _as_lists(got_rows) == want_rows
+
+
+@_REFERENCE
+@given(_matrices())
+def test_rref_and_rank_match_reference(case):
+    _check_rref_and_rank(*case)
+
+
+@_REFERENCE
+@given(_matrices())
+def test_kernels_match_reference(case):
+    _check_kernels(*case)
+
+
+def _swaps_after_update(rows, n, p) -> bool:
+    """Whether the reference elimination swaps rows at a pivot after some
+    earlier pivot step has changed another row."""
+    r = [[x % p for x in row] for row in rows]
+    row, updated = 0, False
+    for col in range(n):
+        pick = next((i for i in range(row, len(r)) if r[i][col]), None)
+        if pick is None:
+            continue
+        if pick != row and updated:
+            return True
+        r[row], r[pick] = r[pick], r[row]
+        inv = pow(r[row][col], -1, p)
+        for i in range(row + 1, len(r)):
+            c = r[i][col] * inv % p
+            if c:
+                r[i] = [(x - c * y) % p for x, y in zip(r[i], r[row])]
+                updated = True
+        row += 1
+    return False
+
+
+@st.composite
+def _matrices_with_repeats(draw):
+    """(p, rows, m, n): a row, a multiple of it, then zero rows, repeated
+    multiples of a few base rows and fresh rows, so that after the first
+    pivot step some later pivot sits below a row the update made zero."""
+    p = draw(st.sampled_from((2, 3, 1009, 2**31 - 1)))
+    n = draw(st.integers(2, 9))
+    entry = st.integers(0, p - 1)
+    nonzero = st.integers(1, p - 1)
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=2, max_size=4))
+    base[0][0] = draw(nonzero)
+    rows = [base[0], [draw(nonzero) * x % p for x in base[0]]]
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("zero", "repeat", "repeat", "fresh")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat":
+            scale = draw(nonzero)
+            rows.append([scale * x % p for x in draw(st.sampled_from(base))])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return p, rows, len(rows), n
+
+
+@_REFERENCE
+@given(_matrices_with_repeats())
+def test_row_swaps_after_updates_match_reference(case):
+    # the pivot step swaps only the columns from the pivot on; left of it
+    # the two rows are zero (full elimination) or never read again (rank)
+    p, rows, m, n = case
+    assume(_swaps_after_update(rows, n, p))
+    _check_rref_and_rank(p, rows, m, n)
+    _check_kernels(p, rows, m, n)
 
 
 def test_int64_overflow_bound_is_checked(monkeypatch):
