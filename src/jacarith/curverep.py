@@ -62,17 +62,13 @@ at the zeros of s are added; that K keeps its rows, and its blocks are
 products as in table form.  Quotients and verdicts depend only on the row
 space of K, so every form gives the same quotients.
 
-The own-section users: flips at W_D's head (fused with their deflation),
-every deflation (``deflate`` verifies its candidates, headed by W_D's head
-or a given section, on K of s*V), both the middle division and the flips
-of ``addflip_small``, the flip and the final division of ``addflip_large``,
-and ``equal_class``.  A flip or division by a given brief form runs at that
-form's own head (the stored brief form of 2*D_0 is headed by s0).
-``divide_product`` makes every division of s*W by a generating set an
-own-section one: a set headed by another section (a flip at an explicit s)
-gets s put at its head, which leaves the divisor it generates and so the
-quotient unchanged.  ``divide_raw`` remains only for ``divide``
-(``inflate``, ``membership_test``), whose dividend is not a product s*W.
+The own-section users: every flip, fused with its deflation at its own
+section s (W_D's head or a given section of W_D), and every deflation, both
+verified on K of s*V; the middle division of ``addflip_small`` and the final
+division of ``addflip_large``, each by a brief form headed by the dividend's
+section (s0 for the stored brief form of 2*D_0); and ``equal_class``.
+``divide_raw`` remains only for ``divide`` (``inflate``,
+``membership_test``), whose dividend is not a product s*W.
 
 Everything downstream (divisor representations, group operations) is built
 from four primitives on these encodings: single products, simple
@@ -387,17 +383,6 @@ def divide_own(rep, w: Subspace, blocks) -> Subspace:
 def divide_own_is_nonzero(rep, w: Subspace, blocks) -> bool:
     """Whether ``divide_own`` would return a nonzero space: rank < dim W."""
     return linalg.matrix_rank(rep.field, _stacked(rep, w, blocks)) < w.dim
-
-
-def divide_product(rep, s: np.ndarray, w: Subspace, sections) -> Subspace:
-    """Canonical basis of (s*W)/{sections} = {u in V : t*u in s*W for every
-    section t}, for sections generating a divisor D and s a section of W_D:
-    the own-section division, with s put at the head of the sections when
-    it is not there already (sections of W_D added to a generating set of D
-    still generate D, so the quotient is the same)."""
-    if not np.array_equal(sections[0], s):
-        sections = (s,) + tuple(sections)
-    return divide_own(rep, w, own_blocks(rep, w, sections))
 
 
 def _stacked(rep, w: Subspace, blocks) -> np.ndarray:

@@ -146,7 +146,7 @@ def is_igs(rep, brief: DivisorBrief, expected_codim: int) -> bool:
 
     The sum of products s_1*V + ... + s_h*V always lands inside W'_D, so for
     2g-1 <= deg D the test reduces to comparing codimensions in V'.
-    ``deflate`` and the fused ``flip`` make the same test on smaller blocks
+    ``deflate`` and ``flip`` make the same test on smaller blocks
     instead: with K the left kernel of s*V for the candidate's head s, the
     blocks K*(t_i*V) side by side have rank Delta - deg D exactly when the
     codimension is deg D.  This function stays as their reference.
@@ -166,48 +166,57 @@ def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
             kv: curverep.OwnKernel | None = None) -> DivisorBrief:
     """Las Vegas full-to-brief conversion; output is always verified.
 
-    Candidates are (s, t_2, ..., t_h): s is W_D's head (``rep.head``), or
-    the given nonzero section of W_D, and the t_i are the Sigma-random
-    elements of W_D that ``random_igs_candidate`` draws.  Because s lies in
-    W_D, a candidate generates D exactly when the blocks K*(t_i*V) side by
-    side have rank Delta - deg D, K the left kernel of s*V (the test a fused
-    ``flip`` makes): ``is_igs``'s verdict on a smaller matrix, with one K
-    for all candidates.  kv, when given, is that K for the s used, as
-    ``rep.own_kernel`` returns it, e.g. from the flip that produced D.
+    Runs the candidate loop that ``flip`` runs (``_own_section_loop``) and
+    accepts a candidate (s, t_2, ..., t_h) when the blocks K*(t_i*V) side by
+    side have rank Delta - deg D: because s lies in W_D, that is
+    ``is_igs``'s verdict on a smaller matrix, with one K for all candidates.
+    s is W_D's head (``rep.head``) or the given nonzero section of W_D; kv,
+    which needs s, is K of s*V as ``rep.own_kernel`` returns it, e.g. from
+    the flip at s that produced D.
     """
-    _require_comfort_degree(rep, d, "deflation")
-    if d.space.dim == 0:
-        raise EmptySpace("cannot deflate the zero space")
-    full = rep.full_v()
-    if kv is None:
-        kv = curverep.own_kernel(rep, rep.head(d.space) if s is None else s, full)
     rank = rep.Delta - d.degree
 
-    def draw():
-        brief = random_igs_candidate(rep, d, rng)
-        return brief if s is None else DivisorBrief((s.copy(),) + brief.sections[1:])
-
-    def verified(brief):
-        blocks = curverep.own_blocks(rep, full, brief.sections, kv)
+    def verified(brief, blocks):
         return brief if _side_by_side_rank(rep, blocks) == rank else None
 
-    return _first_accepted(draw, stats, verified)
+    return _own_section_loop(rep, d, rng, stats, s, kv, "deflation", verified)
 
 
 def _side_by_side_rank(rep, blocks) -> int:
     return linalg.matrix_rank(rep.field, np.hstack(blocks)) if blocks else 0
 
 
-def _first_accepted(draw, stats: RetryStats | None, accept):
-    """The deflation loop: ``draw`` candidates until ``accept`` maps one to
-    a result other than None, and record the attempts taken."""
+def _own_section_loop(rep, d: DivisorFull, rng, stats: RetryStats | None,
+                      s: np.ndarray | None, kv: curverep.OwnKernel | None,
+                      what: str, accept):
+    """The one candidate loop of ``deflate`` and ``flip``.
+
+    s is W_D's head (``rep.head``) or the given nonzero section of W_D, and
+    K is the left kernel of s*V: kv, K for the given s as ``rep.own_kernel``
+    returns it (so kv needs s), or built here once.  Each candidate is
+    (s, t_2, ..., t_h), the t_i the Sigma-random elements of W_D that
+    ``random_igs_candidate`` draws, and ``accept`` maps it and its blocks
+    K*(t_i*V) to a result, or to None for a redraw; the attempts taken are
+    recorded in stats.
+    """
+    if kv is not None and s is None:
+        raise ValueError("kv is the kernel at the given section s; pass s with it")
+    _require_comfort_degree(rep, d, what)
+    if d.space.dim == 0:
+        raise EmptySpace(f"{what} needs a nonzero space W_D")
+    full = rep.full_v()
+    if kv is None:
+        kv = curverep.own_kernel(rep, rep.head(d.space) if s is None else s, full)
     for attempt in range(1, _LOOP_CAP + 1):
-        out = accept(draw())
+        brief = random_igs_candidate(rep, d, rng)
+        if s is not None:
+            brief = DivisorBrief((s.copy(),) + brief.sections[1:])
+        out = accept(brief, curverep.own_blocks(rep, full, brief.sections, kv))
         if out is not None:
             if stats is not None:
                 stats.record(attempt)
             return out
-    raise LasVegasExhausted("deflation failed repeatedly; data is likely inconsistent")
+    raise LasVegasExhausted(f"{what} failed repeatedly; data is likely inconsistent")
 
 
 def star_mult_matrix(cubic: CubicData, field, s: np.ndarray) -> np.ndarray:
@@ -250,68 +259,33 @@ def inflate(rep, brief: DivisorBrief, defl_v: IgsV) -> DivisorFull:
 
 
 def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
-         defl: DivisorBrief | None = None, stats: RetryStats | None = None,
+         stats: RetryStats | None = None,
          kv: curverep.OwnKernel | None = None) -> DivisorFull:
     """Complementary divisor: for s in W_D with (s) = D + E, compute W_E.
 
-    The result satisfies deg E = Delta - deg D; the flip is computed as the
-    division of s*V by a brief representation of D.  When that brief form
-    starts with s, the division is the own-section one (``curverep``):
-    W_E = {u in V : t_i*u in s*V}.  At the default s, W_D's head
-    (``rep.head``), which heads every candidate ``deflate`` draws, and without
-    a given brief form, deflation and division are fused: K, the left kernel
-    of s*V, is built once (or taken from kv, K as ``rep.own_kernel``
-    returns it, which only this fused path reads, so it cannot go with s or
-    defl); per candidate the blocks K*(t_i*V) side by side have rank
-    Delta - deg D exactly when ``is_igs`` accepts, and their stacked kernel
-    is the flip.  For h = 2 the one kernel gives both.  s also lies in W_E,
-    so a caller can go on to deflate E at s on the same K (``deflate`` with
-    s and kv).  A given brief form without s divides at its own head,
-    s = defl.sections[0].  An explicit s divides s*V by a deflation of D, or
-    by the given brief form, with s put at the head of the brief form
-    (``curverep.divide_product``).
+    s is W_D's head (``rep.head``) or the given nonzero section of W_D, and
+    the result satisfies deg E = Delta - deg D.  W_E is (s*V)/{s, t_2, ...,
+    t_h} = {u in V : t_i*u in s*V} for a generating set of D headed by s,
+    and the flip is fused with the deflation that finds it: ``deflate``'s
+    candidate loop (``_own_section_loop``, one K of s*V, from kv when
+    given), where the blocks K*(t_i*V) side by side have rank Delta - deg D
+    exactly when ``is_igs`` accepts, and their stacked kernel is the flip.
+    For h = 2 the one kernel gives both.  s also lies in W_E, so a caller
+    can go on to deflate E at s on the same K (``deflate`` with s and kv).
     """
-    if kv is not None and (s is not None or defl is not None):
-        raise ValueError("kv is the kernel at W_D's head; it cannot go with s or defl")
-    _require_comfort_degree(rep, d, "flip")
-    if d.space.dim == 0:
-        raise EmptySpace("cannot flip the zero space")
-    head = rep.head(d.space)
-    if s is None:
-        s = head if defl is None else defl.sections[0]
-    if not np.count_nonzero(s):
-        raise curverep.ZeroSection("flip needs a nonzero section of W_D")
-    if defl is None and np.array_equal(s, head):
-        space = _deflate_and_divide(rep, d, s, rng, stats, kv)
-    else:
-        if defl is None:
-            defl = deflate(rep, d, rng, stats)
-        space = curverep.divide_product(rep, s, rep.full_v(), defl.sections)
-    out = divisor_from_space(rep, space)
-    return require_degree(out, rep.Delta - d.degree, f"flip of a degree-{d.degree} divisor")
-
-
-def _deflate_and_divide(rep, d: DivisorFull, s: np.ndarray, rng,
-                        stats: RetryStats | None,
-                        kv: curverep.OwnKernel | None) -> Subspace:
-    """``deflate`` and the own-section division of s*V in one loop, for s
-    the head of every candidate: same draws, same verdicts, same
-    statistics, one K for all candidates (kv, K as ``rep.own_kernel``
-    returns it, when given)."""
-    full = rep.full_v()
-    if kv is None:
-        kv = curverep.own_kernel(rep, s, full)
     rank = rep.Delta - d.degree  # rank of the blocks for a generating set
+    full = rep.full_v()
 
-    def divide(brief):
-        blocks = curverep.own_blocks(rep, full, brief.sections, kv)
+    def divided(brief, blocks):
         if len(blocks) > 1 and _side_by_side_rank(rep, blocks) != rank:
             return None
         space = curverep.divide_own(rep, full, blocks)
         # with one block (h = 2) its rank, dim V - dim quotient, is the verdict
         return space if len(blocks) > 1 or full.dim - space.dim == rank else None
 
-    return _first_accepted(lambda: random_igs_candidate(rep, d, rng), stats, divide)
+    space = _own_section_loop(rep, d, rng, stats, s, kv, "flip", divided)
+    out = divisor_from_space(rep, space)
+    return require_degree(out, rep.Delta - d.degree, f"flip of a degree-{d.degree} divisor")
 
 
 def membership_test(rep, w: Subspace, defl_v: IgsV, rng,

@@ -454,6 +454,10 @@ def load_bundle(path: str) -> CurveBundle:
                 f"unsupported bundle version {doc.get('version')} (expected"
                 f" {BUNDLE_VERSION}); regenerate the file with `jacarith gen`")
         p, g, Delta, d = doc["p"], doc["g"], doc["Delta"], doc["d"]
+        if doc["rep"] not in ("a", "b0"):
+            raise MalformedFile(f"unknown representation tag {doc['rep']!r}")
+        if doc["rep"] == "b0" and doc["points"] is None:
+            raise MalformedFile("a point-value (rep b0) bundle needs its evaluation points")
         if d is not None and Delta != 3 * d:
             raise MalformedFile(f"Delta = {Delta} is not 3d for d = {d}")
         field = make_prime_field(p)

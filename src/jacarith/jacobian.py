@@ -94,29 +94,18 @@ class LargeModel:
         return stream_from_bytes(self._salt.encode(), label.encode(),
                                  *(_space_bytes(s) for s in spaces))
 
-    def _stored_defl(self, d: DivisorFull) -> DivisorBrief | None:
-        """The stored brief representation if d is D_0 or 2*D_0, else None."""
+    def defl_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorBrief:
+        """Brief representation of a divisor, reusing the stored ones for
+        D_0 and 2*D_0; without rng, the draw is keyed by the divisor."""
         if d.space == self.W_D0.space:
             return self.defl_D0
         if d.space == self.W_2D0.space:
             return self.defl_2D0
-        return None
-
-    def defl_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorBrief:
-        """Brief representation of a divisor, reusing the stored ones for
-        D_0 and 2*D_0; without rng, the draw is keyed by the divisor."""
-        stored = self._stored_defl(d)
-        if stored is not None:
-            return stored
         return divisors.deflate(self.rep, d, self._stream(d, rng), self.stats)
 
     def flip_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorFull:
-        """Flip of d: at the head of the stored brief representation for
-        D_0 and 2*D_0 (s0 for 2*D_0), else at d's head, fused with the
-        deflation on the stream ``defl_of`` would draw from."""
-        stored = self._stored_defl(d)
-        if stored is not None:
-            return divisors.flip(self.rep, d, rng, defl=stored)
+        """Flip of d at its head, fused with the deflation on the stream
+        ``defl_of`` would draw from."""
         return divisors.flip(self.rep, d, self._stream(d, rng), stats=self.stats)
 
     def _stream(self, d: DivisorFull, rng: RandomStream | None) -> RandomStream:
@@ -220,10 +209,11 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     else:
         s = rep.head(x.space)
         kv = curverep.own_kernel(rep, s, rep.full_v())
-        d_tilde = divisors.flip(rep, x.divisor, rng, stats=model.stats, kv=kv)
+        d_tilde = divisors.flip(rep, x.divisor, rng, s=s, stats=model.stats, kv=kv)
         defl_dt = divisors.deflate(rep, d_tilde, rng, model.stats, s=s, kv=kv)
     w_de = divisors.divisor_from_space(
-        rep, curverep.divide_product(rep, s, y.space, defl_dt.sections))
+        rep, curverep.divide_own(rep, y.space,
+                                 curverep.own_blocks(rep, y.space, defl_dt.sections)))
     divisors.require_degree(w_de, 2 * model.d, "sum divisor")
     out = divisors.flip(rep, w_de, rng, stats=model.stats)
     return JacobianPoint(SMALL, out)
@@ -244,9 +234,9 @@ def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     # divide s*W_D~ by y's brief form at its own head s: y's head, or s0
     # for the stored brief form of 2*D_0
     defl_e = model.defl_of(y.divisor, rng)
-    s = defl_e.sections[0]
     out = divisors.divisor_from_space(
-        rep, curverep.divide_product(rep, s, d_tilde.space, defl_e.sections))
+        rep, curverep.divide_own(rep, d_tilde.space,
+                                 curverep.own_blocks(rep, d_tilde.space, defl_e.sections)))
     divisors.require_degree(out, 2 * model.d, "addflip of large divisors")
     return JacobianPoint(LARGE, out)
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import jacarith as ja
 import jacarith.poly as poly
@@ -159,39 +159,49 @@ def test_flip_degree_and_dimension_laws(bundle_g2, model_g2):
 
 
 def test_flip_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch):
-    rep = bundle_g2.rep_a
+    # a division that returns all of V breaks deg E = Delta - deg D; at
+    # |Sigma| = 2 (h > 2) the side-by-side rank accepts a candidate first
+    rep, pool = _flip_case(1009, 2)
     d = _bridged(bundle_g2, model_g2, "law", 0)
-    defl = ja.deflate(rep, d, ja.RandomStream("law"))
-    # a division that returns all of V breaks deg E = Delta - deg D
     monkeypatch.setattr(curverep, "divide_own", lambda rep, w, blocks: rep.full_v())
     with pytest.raises(curverep.DegreeLawViolation, match="flip"):
-        ja.flip(rep, d, ja.RandomStream("law"), defl=defl)
-    # fused with the deflation (h = 2), the kernel dimension is the candidate's
-    # verdict, so the same wrong division rejects every candidate instead
+        ja.flip(rep, pool[-1], ja.RandomStream("law"))
+    # with h = 2 the kernel dimension is the candidate's verdict, so the same
+    # wrong division rejects every candidate instead
     with pytest.raises(divisors.LasVegasExhausted):
-        ja.flip(rep, d, ja.RandomStream("law"))
+        ja.flip(bundle_g2.rep_a, d, ja.RandomStream("law"))
 
 
 _FLIP_CASES = {}
 
 
-def _flip_case(p, sigma_size):
-    """A genus-2 table form over F_p with the given |Sigma|, and divisors of
-    several degrees: D_0, 2*D_0 and a walk of flips at random sections."""
-    if (p, sigma_size) not in _FLIP_CASES:
+def _flip_case(p, sigma_size, form="a"):
+    """A genus-2 curve over F_p in table form with the given |Sigma|, or in
+    point-value form ("b0"), and divisors of several degrees: D_0, 2*D_0 and
+    a walk of flips at random sections."""
+    key = p, sigma_size, form
+    if key not in _FLIP_CASES:
         bundle = ja.gen_hyperelliptic(2, p, rng=ja.RandomStream(f"fused-{p}"))
-        field = ja.make_prime_field(p, sigma_size=sigma_size)
-        rep = ja.RepA(field, bundle.g, bundle.Delta, bundle.rep_a.tables)
-        model = bundle.large_model(ja.RandomStream(f"fused-model-{p}"), compute_defl_v=False)
-        pool = [ja.divisor_from_space(rep, linalg.Subspace(field, rep.n, d.space.basis))
-                for d in (model.W_D0, model.W_2D0)]
+        if form == "b0":
+            ja.gen_rep_b0(bundle, ja.RandomStream(f"fused-points-{p}"))
+            rep = bundle.rep_b0
+            model = bundle.large_model(ja.RandomStream(f"fused-model-{p}"), tag="b0",
+                                       compute_defl_v=False)
+            pool = [model.W_D0, model.W_2D0]
+        else:
+            field = ja.make_prime_field(p, sigma_size=sigma_size)
+            rep = ja.RepA(field, bundle.g, bundle.Delta, bundle.rep_a.tables)
+            model = bundle.large_model(ja.RandomStream(f"fused-model-{p}"),
+                                       compute_defl_v=False)
+            pool = [ja.divisor_from_space(rep, linalg.Subspace(field, rep.n, d.space.basis))
+                    for d in (model.W_D0, model.W_2D0)]
         rng = ja.RandomStream(f"fused-walk-{p}-{sigma_size}")
         for i in range(4):
-            s = divisors.sigma_random_element(field, pool[-1].space, rng.split(f"s{i}"))
+            s = divisors.sigma_random_element(rep.field, pool[-1].space, rng.split(f"s{i}"))
             if np.count_nonzero(s):
                 pool.append(ja.flip(rep, pool[-1], rng.split(f"f{i}"), s=s))
-        _FLIP_CASES[p, sigma_size] = rep, pool
-    return _FLIP_CASES[p, sigma_size]
+        _FLIP_CASES[key] = rep, pool
+    return _FLIP_CASES[key]
 
 
 def _weak_candidates(data, p, space, head, h):
@@ -208,31 +218,69 @@ def _weak_candidates(data, p, space, head, h):
     return drawn
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_fused_flip_verdict_matches_is_igs(data):
-    # h = 2 at |Sigma| = 1009; h > 2 at |Sigma| = 2 (over F_1009 and F_2)
-    p, sigma_size = data.draw(st.sampled_from([(1009, 1009), (1009, 2), (2, 2)]))
-    rep, pool = _flip_case(p, sigma_size)
-    d = data.draw(st.sampled_from(pool))
-    h = ja.igs_size_h(rep.Delta, d.degree, sigma_size)
-    first = d.space.basis[:, 0]
-    drawn = _weak_candidates(data, p, d.space, first, h)
+def _replaying(drawn, returned):
+    """A stand-in for ``random_igs_candidate`` that hands out the drawn
+    candidates first, then real draws, and records what it returned."""
     draw = divisors.random_igs_candidate
-    returned = []
 
     def candidates(rep, d, rng):
         returned.append(drawn.pop(0) if drawn else draw(rep, d, rng))
         return returned[-1]
+    return candidates
 
+
+def _section_of(data, rep, space, sigma_size):
+    """None (W_D's head), a nonzero Sigma-combination of W_D's basis, or a
+    nonzero section of W_D that vanishes on a pivot row of V."""
+    how = data.draw(st.sampled_from(["head", "random", "zero on a pivot row of V"]))
+    if how == "head":
+        return None
+    p = rep.field.p
+    c = np.array(data.draw(st.lists(st.integers(0, sigma_size - 1), min_size=space.dim,
+                                    max_size=space.dim)), dtype=np.int64)
+    if how != "random":
+        row = space.basis[data.draw(st.sampled_from(list(rep.full_v().pivot_rows)))]
+        live = np.flatnonzero(row)
+        if live.size:
+            c[live[0]] = 0
+            c[live[0]] = -row.dot(c) * pow(int(row[live[0]]), -1, p) % p
+    s = space.basis.dot(c) % p
+    assume(np.count_nonzero(s))
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fused_flip_verdict_matches_is_igs(data):
+    # h = 2 at |Sigma| = 1009; h > 2 at |Sigma| = 2 (over F_1009 and F_2);
+    # point-value form at |Sigma| = 1009, where s can vanish on a pivot row
+    # of V (own_kernel's fallback)
+    p, sigma_size, form = data.draw(st.sampled_from(
+        [(1009, 1009, "a"), (1009, 2, "a"), (2, 2, "a"), (1009, 1009, "b0")]))
+    rep, pool = _flip_case(p, sigma_size, form)
+    d = data.draw(st.sampled_from(pool))
+    h = ja.igs_size_h(rep.Delta, d.degree, sigma_size)
+    s = _section_of(data, rep, d.space, sigma_size)
+    head = rep.head(d.space) if s is None else s
+    drawn = _weak_candidates(data, p, d.space, rep.head(d.space), h)
+    returned = []
     stats = ja.RetryStats()
-    with mock.patch.object(divisors, "random_igs_candidate", candidates):
-        out = ja.flip(rep, d, ja.RandomStream("fused"), stats=stats)
-    verdicts = [ja.is_igs(rep, brief, d.degree) for brief in returned]
+    with mock.patch.object(divisors, "random_igs_candidate", _replaying(drawn, returned)):
+        out = ja.flip(rep, d, ja.RandomStream("fused"), s=s, stats=stats)
+    headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
+    verdicts = [ja.is_igs(rep, brief, d.degree) for brief in headed]
     assert verdicts == [False] * (len(returned) - 1) + [True]
     assert stats.histogram == {len(returned): 1}
-    s_v = rep.apply_mul(first, rep.full_v().basis)
-    assert out.space == curverep.divide_raw(rep, s_v, returned[-1].sections)
+    s_v = rep.apply_mul(head, rep.full_v().basis)
+    assert out.space == curverep.divide_raw(rep, s_v, headed[-1].sections)
+    # deflate runs the same loop: on the same candidates it returns the
+    # s-headed one the flip divided by
+    replayed, stats = [], ja.RetryStats()
+    with mock.patch.object(divisors, "random_igs_candidate",
+                           _replaying(list(returned), replayed)):
+        brief = ja.deflate(rep, d, ja.RandomStream("fused"), stats, s=s)
+    assert len(replayed) == len(returned) and stats.histogram == {len(returned): 1}
+    assert all(np.array_equal(a, b) for a, b in zip(brief.sections, headed[-1].sections))
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,22 +295,16 @@ def test_headed_deflation_verdict_matches_is_igs(data):
     if data.draw(st.booleans()):
         s = x.space.basis[:, 0].copy()
         kv = curverep.own_kernel(rep, s, rep.full_v())
-        e = ja.flip(rep, x, ja.RandomStream("headed-flip"), kv=kv)
+        e = ja.flip(rep, x, ja.RandomStream("headed-flip"), s=s, kv=kv)
         head = s
     else:
         e, s, kv = x, None, None
         head = x.space.basis[:, 0]
     h = ja.igs_size_h(rep.Delta, e.degree, sigma_size)
     drawn = _weak_candidates(data, p, e.space, e.space.basis[:, 0], h)
-    draw = divisors.random_igs_candidate
     returned = []
-
-    def candidates(rep, d, rng):
-        returned.append(drawn.pop(0) if drawn else draw(rep, d, rng))
-        return returned[-1]
-
     stats = ja.RetryStats()
-    with mock.patch.object(divisors, "random_igs_candidate", candidates):
+    with mock.patch.object(divisors, "random_igs_candidate", _replaying(drawn, returned)):
         brief = ja.deflate(rep, e, ja.RandomStream("headed"), stats, s=s, kv=kv)
     # deflate heads every drawn candidate with s
     headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
@@ -270,24 +312,25 @@ def test_headed_deflation_verdict_matches_is_igs(data):
     assert verdicts == [False] * (len(returned) - 1) + [True]
     assert stats.histogram == {len(returned): 1}
     assert all(np.array_equal(a, b) for a, b in zip(brief.sections, headed[-1].sections))
-    # the own-section quotient of s*W_y by it is the general one, also at
-    # another section of W_E, which divide_product puts at the head
-    for t in (head, e.space.basis[:, -1]):
-        t_w = rep.apply_mul(t, y.space.basis)
-        assert (curverep.divide_product(rep, t, y.space, brief.sections)
-                == curverep.divide_raw(rep, t_w, brief.sections))
+    # the own-section quotient of s*W_y by it is the general one
+    h_w = rep.apply_mul(head, y.space.basis)
+    assert (curverep.divide_own(rep, y.space, curverep.own_blocks(rep, y.space, brief.sections))
+            == curverep.divide_raw(rep, h_w, brief.sections))
 
 
-def test_flip_kv_goes_only_with_the_fused_path(bundle_g2, model_g2):
-    # kv is K at W_D's first column; an explicit s or brief form rejects it
+def test_kv_is_the_kernel_at_the_given_section(bundle_g2, model_g2):
+    # kv is K of s*V for the s passed with it: without s it is refused, and
+    # with s it gives the flip that building K would
     rep = bundle_g2.rep_a
-    d = model_g2.W_D0
-    first = d.space.basis[:, 0]
-    kv = curverep.own_kernel(rep, first, rep.full_v())
-    with pytest.raises(ValueError):
-        ja.flip(rep, d, ja.RandomStream(0), s=first, kv=kv)
-    with pytest.raises(ValueError):
-        ja.flip(rep, d, ja.RandomStream(0), defl=model_g2.defl_D0, kv=kv)
+    d = _bridged(bundle_g2, model_g2, "kv", 0)
+    s = d.space.basis[:, -1].copy()
+    kv = curverep.own_kernel(rep, s, rep.full_v())
+    with pytest.raises(ValueError, match="kv"):
+        ja.flip(rep, d, ja.RandomStream(0), kv=kv)
+    with pytest.raises(ValueError, match="kv"):
+        ja.deflate(rep, d, ja.RandomStream(0), kv=kv)
+    assert (ja.flip(rep, d, ja.RandomStream("kv"), s=s, kv=kv)
+            == ja.flip(rep, d, ja.RandomStream("kv"), s=s))
 
 
 def test_flip_preconditions(bundle_g2):

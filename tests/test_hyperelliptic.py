@@ -173,6 +173,8 @@ TAMPERED = [
     (lambda doc: doc.update(d=doc["d"] + 1), ja.MalformedFile, "3d"),
     (lambda doc: doc.update(version=1), ja.VersionMismatch, "jacarith gen"),
     (lambda doc: doc.update(version=99), ja.VersionMismatch, "jacarith gen"),
+    (lambda doc: doc.update(rep="zzz"), ja.MalformedFile, "representation tag"),
+    (lambda doc: doc.update(points=None), ja.MalformedFile, "rep b0"),
 ]
 
 
