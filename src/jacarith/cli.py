@@ -110,7 +110,7 @@ def _load(args) -> CurveBundle:
 
 
 def _model_for(bundle: CurveBundle, args, rng: RandomStream):
-    tag_rep = getattr(args, "rep", "a") or "a"
+    tag_rep = args.rep or bundle.rep_tag
     if tag_rep == "b0" and bundle.rep_b0 is None:
         gen_rep_b0(bundle, rng.split("points"))
     return bundle.large_model(rng.split("model"), tag=tag_rep)
@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--seed", default="0")
     ver.add_argument("--tag", choices=(SMALL, LARGE), default=SMALL)
-    ver.add_argument("--rep", choices=("a", "b0"), default="a")
+    ver.add_argument("--rep", choices=("a", "b0"),
+                     help="representation to run (default: the bundle file's)")
     ver.set_defaults(func=cmd_verify)
 
     sc = sub.add_parser("scale", help="measure operation time against genus")

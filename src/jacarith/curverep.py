@@ -66,7 +66,13 @@ The own-section users: every flip, fused with its deflation at its own
 section s (W_D's head or a given section of W_D), and every deflation, both
 verified on K of s*V; the middle division of ``addflip_small`` and the final
 division of ``addflip_large``, each by a brief form headed by the dividend's
-section (s0 for the stored brief form of 2*D_0); and ``equal_class``.
+section (s0 for the stored brief form of 2*D_0); and ``equal_class``.  The
+two addflip divisions draw their brief form as they divide
+(``divisors.divide_by``) and verify it by the quotient's degree, with no
+rank: for (s) = D + D' and (t_i) = D + T_i the quotient is
+W_{D_W + D' - B}, B = gcd(D', T_2, ..., T_h), which has degree
+deg W + Delta - deg D exactly when the candidate generates D, and a degree
+in [deg W, that) otherwise.
 ``divide_raw`` remains only for ``divide`` (``inflate``,
 ``membership_test``), whose dividend is not a product s*W.
 

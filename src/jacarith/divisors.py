@@ -5,7 +5,8 @@ sections vanishing on D, with degree = codim) or in brief form (an ideal
 generating set: a few sections whose common zero divisor is exactly D).
 Random candidates for brief form succeed with probability >= 1/2 at the
 advertised size h, and success is verifiable by a dimension count, so every
-conversion loop terminates with verified output.
+conversion loop terminates with verified output.  A candidate that feeds
+one division (``divide_by``) is verified by the quotient's degree.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def is_igs(rep, brief: DivisorBrief, expected_codim: int) -> bool:
     ``deflate`` and ``flip`` make the same test on smaller blocks
     instead: with K the left kernel of s*V for the candidate's head s, the
     blocks K*(t_i*V) side by side have rank Delta - deg D exactly when the
-    codimension is deg D.  This function stays as their reference.
+    codimension is deg D.  ``divide_by`` reads it off its quotient's degree.
+    This function stays as their reference.
     """
     dim = curverep.sum_of_products_dim(rep, brief.sections, rep.full_v())
     return rep.delta_prime - dim == expected_codim
@@ -162,56 +164,49 @@ def _require_comfort_degree(rep, d: DivisorFull, what: str) -> None:
 
 
 def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
-            s: np.ndarray | None = None,
-            kv: curverep.OwnKernel | None = None) -> DivisorBrief:
+            s: np.ndarray | None = None) -> DivisorBrief:
     """Las Vegas full-to-brief conversion; output is always verified.
 
-    Runs the candidate loop that ``flip`` runs (``_own_section_loop``) and
-    accepts a candidate (s, t_2, ..., t_h) when the blocks K*(t_i*V) side by
-    side have rank Delta - deg D: because s lies in W_D, that is
+    Runs the candidate loop that ``flip`` runs (``_own_section_loop`` on V)
+    and accepts a candidate (s, t_2, ..., t_h) when the blocks K*(t_i*V)
+    side by side have rank Delta - deg D: because s lies in W_D, that is
     ``is_igs``'s verdict on a smaller matrix, with one K for all candidates.
-    s is W_D's head (``rep.head``) or the given nonzero section of W_D; kv,
-    which needs s, is K of s*V as ``rep.own_kernel`` returns it, e.g. from
-    the flip at s that produced D.
+    s is W_D's head (``rep.head``) or the given nonzero section of W_D.
+    It serves brief forms that are kept (D_0, 2*D_0) or not divided by.
     """
     rank = rep.Delta - d.degree
 
     def verified(brief, blocks):
         return brief if _side_by_side_rank(rep, blocks) == rank else None
 
-    return _own_section_loop(rep, d, rng, stats, s, kv, "deflation", verified)
+    return _own_section_loop(rep, d, rep.full_v(), rng, stats, s, "deflation", verified)
 
 
 def _side_by_side_rank(rep, blocks) -> int:
     return linalg.matrix_rank(rep.field, np.hstack(blocks)) if blocks else 0
 
 
-def _own_section_loop(rep, d: DivisorFull, rng, stats: RetryStats | None,
-                      s: np.ndarray | None, kv: curverep.OwnKernel | None,
+def _own_section_loop(rep, d: DivisorFull, w: Subspace, rng,
+                      stats: RetryStats | None, s: np.ndarray | None,
                       what: str, accept):
-    """The one candidate loop of ``deflate`` and ``flip``.
+    """The one candidate loop of ``deflate``, ``flip`` and ``divide_by``.
 
     s is W_D's head (``rep.head``) or the given nonzero section of W_D, and
-    K is the left kernel of s*V: kv, K for the given s as ``rep.own_kernel``
-    returns it (so kv needs s), or built here once.  Each candidate is
+    K, the left kernel of s*W, is built once.  Each candidate is
     (s, t_2, ..., t_h), the t_i the Sigma-random elements of W_D that
     ``random_igs_candidate`` draws, and ``accept`` maps it and its blocks
-    K*(t_i*V) to a result, or to None for a redraw; the attempts taken are
+    K*(t_i*W) to a result, or to None for a redraw; the attempts taken are
     recorded in stats.
     """
-    if kv is not None and s is None:
-        raise ValueError("kv is the kernel at the given section s; pass s with it")
     _require_comfort_degree(rep, d, what)
     if d.space.dim == 0:
         raise EmptySpace(f"{what} needs a nonzero space W_D")
-    full = rep.full_v()
-    if kv is None:
-        kv = curverep.own_kernel(rep, rep.head(d.space) if s is None else s, full)
+    kw = curverep.own_kernel(rep, rep.head(d.space) if s is None else s, w)
     for attempt in range(1, _LOOP_CAP + 1):
         brief = random_igs_candidate(rep, d, rng)
         if s is not None:
             brief = DivisorBrief((s.copy(),) + brief.sections[1:])
-        out = accept(brief, curverep.own_blocks(rep, full, brief.sections, kv))
+        out = accept(brief, curverep.own_blocks(rep, w, brief.sections, kw))
         if out is not None:
             if stats is not None:
                 stats.record(attempt)
@@ -259,19 +254,18 @@ def inflate(rep, brief: DivisorBrief, defl_v: IgsV) -> DivisorFull:
 
 
 def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
-         stats: RetryStats | None = None,
-         kv: curverep.OwnKernel | None = None) -> DivisorFull:
+         stats: RetryStats | None = None) -> DivisorFull:
     """Complementary divisor: for s in W_D with (s) = D + E, compute W_E.
 
     s is W_D's head (``rep.head``) or the given nonzero section of W_D, and
     the result satisfies deg E = Delta - deg D.  W_E is (s*V)/{s, t_2, ...,
     t_h} = {u in V : t_i*u in s*V} for a generating set of D headed by s,
     and the flip is fused with the deflation that finds it: ``deflate``'s
-    candidate loop (``_own_section_loop``, one K of s*V, from kv when
-    given), where the blocks K*(t_i*V) side by side have rank Delta - deg D
-    exactly when ``is_igs`` accepts, and their stacked kernel is the flip.
-    For h = 2 the one kernel gives both.  s also lies in W_E, so a caller
-    can go on to deflate E at s on the same K (``deflate`` with s and kv).
+    candidate loop (``_own_section_loop``, one K of s*V), where the blocks
+    K*(t_i*V) side by side have rank Delta - deg D exactly when ``is_igs``
+    accepts, and their stacked kernel is the flip.  For h = 2 the one
+    kernel gives both.  s also lies in W_E, so a caller can go on to divide
+    s*W by E at s (``divide_by``).
     """
     rank = rep.Delta - d.degree  # rank of the blocks for a generating set
     full = rep.full_v()
@@ -283,9 +277,34 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
         # with one block (h = 2) its rank, dim V - dim quotient, is the verdict
         return space if len(blocks) > 1 or full.dim - space.dim == rank else None
 
-    space = _own_section_loop(rep, d, rng, stats, s, kv, "flip", divided)
+    space = _own_section_loop(rep, d, full, rng, stats, s, "flip", divided)
     out = divisor_from_space(rep, space)
     return require_degree(out, rep.Delta - d.degree, f"flip of a degree-{d.degree} divisor")
+
+
+def divide_by(rep, w: Subspace, d: DivisorFull, rng, s: np.ndarray | None = None,
+              stats: RetryStats | None = None) -> DivisorFull:
+    """(s*W)/D for s in W_D, by a generating set of D that the division
+    verifies: the candidate loop on W (``_own_section_loop``) divides each
+    candidate (s, t_2, ..., t_h) at once, and with (s) = D + D' the quotient
+    has degree deg W + Delta - deg D exactly when the candidate generates D,
+    and a degree in [deg W, that) otherwise (``curverep``'s own-section
+    paragraph); any other degree is a ``DegreeLawViolation``.  s is W_D's
+    head (``rep.head``) or the given nonzero section of W_D.
+    """
+    low = rep.delta - w.dim
+    target = low + rep.Delta - d.degree
+    if target > rep.Delta - 2 * rep.g:
+        raise PreconditionDegree(
+            f"division needs deg W + Delta - deg D <= Delta-2g, got {target}")
+
+    def divided(brief, blocks):
+        out = divisor_from_space(rep, curverep.divide_own(rep, w, blocks))
+        if low <= out.degree < target:
+            return None
+        return require_degree(out, target, f"division of a degree-{low} space")
+
+    return _own_section_loop(rep, d, w, rng, stats, s, "division", divided)
 
 
 def membership_test(rep, w: Subspace, defl_v: IgsV, rng,

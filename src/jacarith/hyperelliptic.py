@@ -148,7 +148,10 @@ def _build_tables(curve: HyperellipticCurve, field: PrimeField,
 
 
 class CurveBundle:
-    """A generated curve instance: representations plus ground-truth data."""
+    """A generated curve instance: representations plus ground-truth data.
+
+    ``rep_tag`` is the form a bundle file names ("a" table, "b0"
+    point-value), which ``jacarith verify`` runs unless told otherwise."""
 
     def __init__(self, curve: HyperellipticCurve, field: PrimeField, Delta: int,
                  d: int | None, rep_a: RepA, v_monomials: list, rep_b0: RepB0 | None = None):
@@ -159,6 +162,7 @@ class CurveBundle:
         self.rep_a = rep_a
         self.v_monomials = v_monomials
         self.rep_b0 = rep_b0
+        self.rep_tag = "a"
         self._cubic: CubicData | None = None
 
     @property
@@ -464,6 +468,7 @@ def load_bundle(path: str) -> CurveBundle:
         curve = make_curve(g, p, doc["curve"]["f"], doc["curve"]["h"] or None)
         rep, v = build_rep_a(curve, field, Delta)
         bundle = CurveBundle(curve, field, Delta, d, rep, v)
+        bundle.rep_tag = doc["rep"]
         if doc["points"] is not None:
             points = _checked_points(curve, doc["points"], 2 * Delta + 1)
             _attach_rep_b0(bundle, points, RandomStream("load-cross-check"))

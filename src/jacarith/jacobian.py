@@ -94,22 +94,25 @@ class LargeModel:
         return stream_from_bytes(self._salt.encode(), label.encode(),
                                  *(_space_bytes(s) for s in spaces))
 
-    def defl_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorBrief:
+    def defl_of(self, d: DivisorFull) -> DivisorBrief:
         """Brief representation of a divisor, reusing the stored ones for
-        D_0 and 2*D_0; without rng, the draw is keyed by the divisor."""
+        D_0 and 2*D_0; the draw is keyed by the divisor."""
         if d.space == self.W_D0.space:
             return self.defl_D0
         if d.space == self.W_2D0.space:
             return self.defl_2D0
-        return divisors.deflate(self.rep, d, self._stream(d, rng), self.stats)
+        return divisors.deflate(self.rep, d, self.content_stream("defl", d.space), self.stats)
 
     def flip_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorFull:
         """Flip of d at its head, fused with the deflation on the stream
         ``defl_of`` would draw from."""
-        return divisors.flip(self.rep, d, self._stream(d, rng), stats=self.stats)
+        rng = rng if rng is not None else self.content_stream("defl", d.space)
+        return divisors.flip(self.rep, d, rng, stats=self.stats)
 
-    def _stream(self, d: DivisorFull, rng: RandomStream | None) -> RandomStream:
-        return rng if rng is not None else self.content_stream("defl", d.space)
+    def divide_by_2d0(self, w: Subspace) -> DivisorFull:
+        """(s0*W)/2*D_0, by the stored brief form of 2*D_0 (headed by s0)."""
+        blocks = curverep.own_blocks(self.rep, w, self.defl_2D0.sections)
+        return divisors.divisor_from_space(self.rep, curverep.divide_own(self.rep, w, blocks))
 
 
 def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
@@ -190,10 +193,10 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     """addflip on small representatives: flip, divide, flip again.
 
     With s the head of W_x (``rep.head``) and (s) = D_x + D~, the first
-    flip gives W_D~.  s lies in W_D~, so D~ is deflated at s on the left
-    kernel of s*V that the flip built (``divisors.deflate`` at s), and the
-    middle division of s*W_y by that brief form is the own-section one over
-    dim W_y columns.  The last flip is fused with its deflation.
+    flip gives W_D~.  s lies in W_D~, so the middle division of s*W_y by D~
+    is the own-section one over dim W_y columns, by a generating set of D~
+    headed by s that the division verifies by its degree, 2d
+    (``divisors.divide_by``).  The last flip is fused with its deflation.
     """
     _require(model, x, SMALL)
     _require(model, y, SMALL)
@@ -204,16 +207,11 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
         # x is the stored identity: s0 flips D_0 to 2*D_0, whose brief
         # representation is precomputed and headed by s0, so the first flip
         # is free.
-        s = model.s0
-        defl_dt = model.defl_2D0
+        w_de = model.divide_by_2d0(y.space)
     else:
         s = rep.head(x.space)
-        kv = curverep.own_kernel(rep, s, rep.full_v())
-        d_tilde = divisors.flip(rep, x.divisor, rng, s=s, stats=model.stats, kv=kv)
-        defl_dt = divisors.deflate(rep, d_tilde, rng, model.stats, s=s, kv=kv)
-    w_de = divisors.divisor_from_space(
-        rep, curverep.divide_own(rep, y.space,
-                                 curverep.own_blocks(rep, y.space, defl_dt.sections)))
+        d_tilde = divisors.flip(rep, x.divisor, rng, s=s, stats=model.stats)
+        w_de = divisors.divide_by(rep, y.space, d_tilde, rng, s=s, stats=model.stats)
     divisors.require_degree(w_de, 2 * model.d, "sum divisor")
     out = divisors.flip(rep, w_de, rng, stats=model.stats)
     return JacobianPoint(SMALL, out)
@@ -224,19 +222,17 @@ def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     """addflip on large representatives: one flip and one divide.
 
     x is flipped at its head (``LargeModel.flip_of``) to D~, and s*W_D~ is
-    divided by y's brief form at that form's own head s, so the division
-    stacks one block per other section of the form.
+    divided by y at y's head s, by a generating set of y that the division
+    verifies by its degree, 2d (``divisors.divide_by``).  For y = 2*D_0 the
+    stored brief form, headed by s0, divides directly.
     """
     _require(model, x, LARGE)
     _require(model, y, LARGE)
-    rep = model.rep
     d_tilde = model.flip_of(x.divisor, rng)
-    # divide s*W_D~ by y's brief form at its own head s: y's head, or s0
-    # for the stored brief form of 2*D_0
-    defl_e = model.defl_of(y.divisor, rng)
-    out = divisors.divisor_from_space(
-        rep, curverep.divide_own(rep, d_tilde.space,
-                                 curverep.own_blocks(rep, d_tilde.space, defl_e.sections)))
+    if y.space == model.W_2D0.space:
+        out = model.divide_by_2d0(d_tilde.space)
+    else:
+        out = divisors.divide_by(model.rep, d_tilde.space, y.divisor, rng, stats=model.stats)
     divisors.require_degree(out, 2 * model.d, "addflip of large divisors")
     return JacobianPoint(LARGE, out)
 

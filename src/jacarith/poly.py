@@ -54,13 +54,14 @@ def scale(a: Poly, c: int, p: int) -> Poly:
 def mul(a: Poly, b: Poly, p: int) -> Poly:
     if not a or not b:
         return ZERO
+    # reduce once per output coefficient
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return trim(out)
+            out[i + j] += ai * bj
+    return trim([c % p for c in out])
 
 
 def divmod_poly(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
@@ -70,14 +71,15 @@ def divmod_poly(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
     q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lc = pow(b[-1], -1, p)
     db = deg(b)
+    # r stays unreduced (c is canonical anyway); only r[:db] is reduced
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i] * inv_lc % p
         if c == 0:
             continue
         q[i - db] = c
         for j, bj in enumerate(b):
-            r[i - db + j] = (r[i - db + j] - c * bj) % p
-    return trim(q), trim(r)
+            r[i - db + j] -= c * bj
+    return trim(q), trim([c % p for c in r[:db]])
 
 
 def mod(a: Poly, m: Poly, p: int) -> Poly:

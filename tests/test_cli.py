@@ -3,6 +3,7 @@ import json
 import pytest
 
 from jacarith import curverep
+from jacarith.hyperelliptic import CurveBundle
 from jacarith.cli import main
 
 
@@ -115,6 +116,29 @@ def test_b0_suite_through_cli(tmp_path, capsys):
                          "--rep", "b0")
     assert code == 0
     assert all(r["pass"] for r in rows)
+
+
+def test_verify_runs_the_form_the_bundle_names(tmp_path, capsys, monkeypatch):
+    bundle = tmp_path / "b0.json"
+    assert main(["gen", "--genus", "1", "--prime", "1009", "--seed", "2",
+                 "--rep", "b0", "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    tags = []
+    large_model = CurveBundle.large_model
+
+    def spy(self, rng, tag="a", **kwargs):
+        tags.append(tag)
+        return large_model(self, rng, tag, **kwargs)
+
+    monkeypatch.setattr(CurveBundle, "large_model", spy)
+    args = ["verify", "--bundle", str(bundle), "--suite", "oracle", "--trials", "2",
+            "--seed", "4"]
+    code, rows, _ = _run(capsys, *args)
+    assert code == 0 and all(r["pass"] for r in rows)
+    assert tags == ["b0"]
+    # an explicit --rep still wins over the stored tag
+    code, _, _ = _run(capsys, *args, "--rep", "a")
+    assert code == 0 and tags == ["b0", "a"]
 
 
 def test_off_curve_point_is_refused_at_load(tmp_path, capsys):

@@ -287,25 +287,24 @@ def test_fused_flip_verdict_matches_is_igs(data):
 @given(st.data())
 def test_headed_deflation_verdict_matches_is_igs(data):
     # deflate D at W_D's first column, or D~ = the flip of x at s, x's first
-    # column, at s (s lies in W_D~) on the flip's K; h = 2 at |Sigma| = 1009,
-    # h > 2 at |Sigma| = 2 (over F_1009 and F_2)
+    # column, at s (s lies in W_D~); h = 2 at |Sigma| = 1009, h > 2 at
+    # |Sigma| = 2 (over F_1009 and F_2)
     p, sigma_size = data.draw(st.sampled_from([(1009, 1009), (1009, 2), (2, 2)]))
     rep, pool = _flip_case(p, sigma_size)
     x, y = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
     if data.draw(st.booleans()):
         s = x.space.basis[:, 0].copy()
-        kv = curverep.own_kernel(rep, s, rep.full_v())
-        e = ja.flip(rep, x, ja.RandomStream("headed-flip"), s=s, kv=kv)
+        e = ja.flip(rep, x, ja.RandomStream("headed-flip"), s=s)
         head = s
     else:
-        e, s, kv = x, None, None
+        e, s = x, None
         head = x.space.basis[:, 0]
     h = ja.igs_size_h(rep.Delta, e.degree, sigma_size)
     drawn = _weak_candidates(data, p, e.space, e.space.basis[:, 0], h)
     returned = []
     stats = ja.RetryStats()
     with mock.patch.object(divisors, "random_igs_candidate", _replaying(drawn, returned)):
-        brief = ja.deflate(rep, e, ja.RandomStream("headed"), stats, s=s, kv=kv)
+        brief = ja.deflate(rep, e, ja.RandomStream("headed"), stats, s=s)
     # deflate heads every drawn candidate with s
     headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
     verdicts = [ja.is_igs(rep, b, e.degree) for b in headed]
@@ -318,26 +317,49 @@ def test_headed_deflation_verdict_matches_is_igs(data):
             == curverep.divide_raw(rep, h_w, brief.sections))
 
 
-def test_kv_is_the_kernel_at_the_given_section(bundle_g2, model_g2):
-    # kv is K of s*V for the s passed with it: without s it is refused, and
-    # with s it gives the flip that building K would
-    rep = bundle_g2.rep_a
-    d = _bridged(bundle_g2, model_g2, "kv", 0)
-    s = d.space.basis[:, -1].copy()
-    kv = curverep.own_kernel(rep, s, rep.full_v())
-    with pytest.raises(ValueError, match="kv"):
-        ja.flip(rep, d, ja.RandomStream(0), kv=kv)
-    with pytest.raises(ValueError, match="kv"):
-        ja.deflate(rep, d, ja.RandomStream(0), kv=kv)
-    assert (ja.flip(rep, d, ja.RandomStream("kv"), s=s, kv=kv)
-            == ja.flip(rep, d, ja.RandomStream("kv"), s=s))
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_division_degree_verdict_matches_is_igs(data):
+    # divide_by accepts a candidate by its quotient's degree, as the addflips
+    # use it: D~, the flip of x at its head s, divides s*W_y (addflip_small),
+    # or y at its head divides s*W_D~ for D~ a flip (addflip_large); h = 2 at
+    # |Sigma| = 1009, h > 2 at |Sigma| = 2 (over F_1009 and F_2), and the
+    # point-value form at |Sigma| = 1009
+    p, sigma_size, form = data.draw(st.sampled_from(
+        [(1009, 1009, "a"), (1009, 2, "a"), (2, 2, "a"), (1009, 1009, "b0")]))
+    rep, pool = _flip_case(p, sigma_size, form)
+    small = [d for d in pool if 2 * d.degree < rep.Delta]
+    large = [d for d in pool if 2 * d.degree > rep.Delta]
+    if data.draw(st.booleans()):
+        x, y = data.draw(st.sampled_from(small)), data.draw(st.sampled_from(small))
+        s = rep.head(x.space)
+        d, w = ja.flip(rep, x, ja.RandomStream("division-flip"), s=s), y.space
+    else:
+        x, d = data.draw(st.sampled_from(large)), data.draw(st.sampled_from(large))
+        s, w = None, ja.flip(rep, x, ja.RandomStream("division-flip")).space
+    head = rep.head(d.space) if s is None else s
+    h = ja.igs_size_h(rep.Delta, d.degree, sigma_size)
+    drawn = _weak_candidates(data, p, d.space, rep.head(d.space), h)
+    returned = []
+    stats = ja.RetryStats()
+    with mock.patch.object(divisors, "random_igs_candidate", _replaying(drawn, returned)):
+        out = divisors.divide_by(rep, w, d, ja.RandomStream("division"), s=s, stats=stats)
+    headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
+    verdicts = [ja.is_igs(rep, brief, d.degree) for brief in headed]
+    assert verdicts == [False] * (len(returned) - 1) + [True]
+    assert stats.histogram == {len(returned): 1}
+    assert out.space == curverep.divide_raw(rep, rep.apply_mul(head, w.basis),
+                                            headed[-1].sections)
 
 
-def test_flip_preconditions(bundle_g2):
+def test_flip_preconditions(bundle_g2, model_g2):
     rep = bundle_g2.rep_a
     full = divisors.divisor_from_space(rep, rep.full_v())
     with pytest.raises(ja.PreconditionDegree):
         ja.flip(rep, full, ja.RandomStream(0))
+    # (s*W_2D0)/D_0 would have degree 4d > Delta - 2g, where degrees are not exact
+    with pytest.raises(ja.PreconditionDegree):
+        divisors.divide_by(rep, model_g2.W_2D0.space, model_g2.W_D0, ja.RandomStream(0))
 
 
 def test_flip_zero_section_rejected(bundle_g2, model_g2):

@@ -1,7 +1,7 @@
 import pytest
 
 import jacarith as ja
-from jacarith import curverep, divisors, jacobian
+from jacarith import curverep, divisors, jacobian, linalg
 
 
 def _pair(bundle, model, label):
@@ -210,6 +210,39 @@ def test_small_sigma_ops_match_the_oracle(form):
         # own head s0
         xl = ja.mumford_to_point(model, m1, ja.LARGE)
         assert ja.oracle_compare(model, ja.negate(model, xl, r), ja.cantor_negate(curve, m1))
+
+
+@pytest.mark.parametrize("form", ["a", "b0"])
+def test_addflips_take_no_rank_at_h2(form, monkeypatch):
+    # at h = 2 a flip's verdict is its kernel's dimension and a division's
+    # verdict is its quotient's degree, so no addflip takes a rank; the
+    # operands are bridged and the results checked with ranks allowed
+    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(2, 1009, rng=ja.RandomStream("norank")),
+                           ja.RandomStream("norank-points"))
+    model = bundle.large_model(ja.RandomStream("norank-model"), form, compute_defl_v=False)
+    assert ja.igs_size_h(model.Delta, 2 * model.d, model.rep.field.sigma_size) == 2
+    curve = bundle.curve
+    cases = []
+    for i in range(3):
+        m1, m2, x, y = _pair(bundle, model, f"norank-{i}")
+        xl, yl = (ja.mumford_to_point(model, m, ja.LARGE) for m in (m1, m2))
+        total = ja.cantor_add(curve, m1, m2)
+        cases.append((x, y, xl, yl, total, ja.RandomStream("norank-ops").split(i)))
+
+    def no_rank(*args):
+        raise AssertionError("an addflip took a rank")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "matrix_rank", no_rank)
+        got = [(ja.addflip_small(model, x, y, r.split("afs")),
+                ja.addflip_large(model, xl, yl, r.split("afl")),
+                ja.add(model, x, y, r.split("add")))
+               for x, y, xl, yl, _, r in cases]
+    for (afs, afl, add), (*_, total, _) in zip(got, cases):
+        neg_total = ja.cantor_negate(curve, total)
+        assert ja.oracle_compare(model, afs, neg_total)
+        assert ja.oracle_compare(model, afl, neg_total)
+        assert ja.oracle_compare(model, add, total)
 
 
 @pytest.mark.parametrize("g, p", [(1, 1009), (2, 1009), (3, 1009), (4, 1009), (2, 2**31 - 1)])

@@ -1,3 +1,5 @@
+from hypothesis import assume, given, settings, strategies as st
+
 import jacarith.poly as poly
 from jacarith import RandomStream
 
@@ -16,6 +18,28 @@ def test_divmod_invariant():
         q, r = poly.divmod_poly(a, b, P)
         assert poly.add(poly.mul(q, b, P), r, P) == a
         assert poly.deg(r) < poly.deg(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_divmod_is_exact_with_canonical_residues(data):
+    # mul and divmod_poly reduce lazily; check a = q*b + r against a plain
+    # convolution, with deg r < deg b and every coefficient in [0, p)
+    p = data.draw(st.sampled_from([2, 1009, 2**31 - 1]))
+    residues = st.integers(0, p - 1)
+    a = poly.trim(data.draw(st.lists(residues, max_size=14)))
+    b = poly.trim(data.draw(st.lists(residues, min_size=1, max_size=7)))
+    assume(b)
+    q, r = poly.divmod_poly(a, b, p)
+    assert poly.deg(r) < poly.deg(b)
+    assert all(0 <= c < p for c in q + r) and q == poly.trim(q) and r == poly.trim(r)
+    qb = [0] * (len(q) + len(b))
+    for i, qi in enumerate(q):
+        for j, bj in enumerate(b):
+            qb[i + j] += qi * bj
+    assert poly.trim([(c + (r[k] if k < len(r) else 0)) % p
+                      for k, c in enumerate(qb)]) == a
+    assert poly.mul(q, b, p) == poly.trim([c % p for c in qb])
 
 
 def test_xgcd_bezout():
