@@ -7,8 +7,8 @@ hyperelliptic instance generator with ground-truth data, an independent
 Mumford/Cantor oracle, and a benchmarking CLI.
 """
 
-from .field import (CompositeModulus, DivisionByZero, PrimeField, RandomStream,
-                    is_probable_prime, make_prime_field)
+from .field import (CompositeModulus, PrimeField, RandomStream, is_probable_prime,
+                    make_prime_field)
 from .linalg import (DimensionMismatch, Subspace, column_echelon, kernel_basis,
                      mat_mul)
 from .curverep import (AllZeroSections, RepA, RepB0, ZeroSection, divide,

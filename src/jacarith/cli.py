@@ -347,6 +347,13 @@ def cmd_scale(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="jacarith",
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--bundle")
     ver.add_argument("--suite", choices=sorted(SUITES), required=True)
-    ver.add_argument("--trials", type=int, default=100)
+    ver.add_argument("--trials", type=_positive_int, default=100)
     ver.add_argument("--seed", default="0")
     ver.add_argument("--tag", choices=(SMALL, LARGE), default=SMALL)
     ver.add_argument("--rep", choices=("a", "b0"),
@@ -375,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--genus-list", default="5,10,20,40")
     sc.add_argument("--prime", type=int, default=1009)
     sc.add_argument("--op", choices=OPS, default="addflip-large")
-    sc.add_argument("--trials", type=int, default=5)
+    sc.add_argument("--trials", type=_positive_int, default=5)
     sc.add_argument("--seed", default="0")
     sc.add_argument("--out-csv")
     sc.set_defaults(func=cmd_scale)

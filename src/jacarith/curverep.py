@@ -14,7 +14,6 @@ protocol alone, whichever encoding it runs on:
 
 * ``full_v()``: the canonical basis E of V in this form's coordinates;
 * ``apply_mul(s, b)``: a raw basis of s * (column span of b);
-* ``from_v_coords(c)``: the subspace with coordinates c over E;
 * ``from_table_space(w)``: a canonical subspace given in table (monomial)
   coordinates, as this form's canonical subspace;
 * ``head(w)``: the section of W that heads its brief forms and flips: the
@@ -123,7 +122,7 @@ class _KernelRows:
     rows: np.ndarray
 
     def block(self, t: np.ndarray) -> np.ndarray:
-        return self.rows.dot(_apply_mul(self.rep, t, self.w.basis)) % self.rep.field.p
+        return linalg.mat_mul(self.rep.field, self.rows, _apply_mul(self.rep, t, self.w.basis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +169,6 @@ class RepA:
             self._full_v = linalg.full_subspace(self.field, self.n)
         return self._full_v
 
-    def from_v_coords(self, c: Subspace) -> Subspace:
-        """The subspace with coordinates c over full_v(); here that is c."""
-        return c
-
     def from_table_space(self, w: Subspace) -> Subspace:
         """Table coordinates are this form's own; w as it stands."""
         return w
@@ -181,7 +176,7 @@ class RepA:
     def apply_mul(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
         """M_s * b; for b = full_v().basis (the identity) M_s itself."""
         m_s = mult_matrix(self, s)
-        return m_s if b is self.full_v().basis else m_s.dot(b) % self.field.p
+        return m_s if b is self.full_v().basis else linalg.mat_mul(self.field, m_s, b)
 
     def head(self, space: Subspace) -> np.ndarray:
         """The space's first canonical column."""
@@ -197,15 +192,15 @@ class RepA:
         report.add("table symmetry c_ijk = c_jik", sym)
         # surjectivity: the joint left kernel of all M_i must vanish; track
         # it incrementally (it usually dies after a handful of tables)
-        p = self.field.p
+        f = self.field
         order = [0, self.delta - 1] + list(range(1, self.delta - 1))
         kern = None
         for i in order:
             if kern is None:
-                kern = linalg.left_kernel_rows(self.field, self.tables[i])
+                kern = linalg.left_kernel_rows(f, self.tables[i])
             else:
-                inside = linalg.left_kernel_rows(self.field, kern.dot(self.tables[i]) % p)
-                kern = inside.dot(kern) % p
+                inside = linalg.left_kernel_rows(f, linalg.mat_mul(f, kern, self.tables[i]))
+                kern = linalg.mat_mul(f, inside, kern)
             if kern.shape[0] == 0:
                 break
         report.add("multiplication map surjective", kern.shape[0] == 0,
@@ -241,13 +236,9 @@ class RepB0:
             self._full_v = linalg.column_echelon(self.field, self.a_v)
         return self._full_v
 
-    def from_v_coords(self, c: Subspace) -> Subspace:
-        """The subspace E*c, E = full_v().basis; canonical as it stands."""
-        return Subspace(self.field, self.n, self.full_v().basis.dot(c.basis) % self.field.p)
-
     def from_table_space(self, w: Subspace) -> Subspace:
         """Canonical basis of the value vectors a_v * w."""
-        return linalg.column_echelon(self.field, self.a_v.dot(w.basis) % self.field.p)
+        return linalg.column_echelon(self.field, linalg.mat_mul(self.field, self.a_v, w.basis))
 
     def apply_mul(self, s: np.ndarray, b: np.ndarray) -> np.ndarray:
         """s * b row by row: multiplication is componentwise."""
@@ -270,14 +261,15 @@ class RepB0:
         zero_pivots = pivots[s[pivots] == 0]
         if not zero_pivots.size:
             return _KernelReadOff(p, free, pivots, w.basis[free], s_free[:, None],
-                                  _inverses(self.field, s[pivots]))
+                                  linalg.inverses(self.field, s[pivots]))
         rows = linalg.constraint_rows(self.field, w)  # e_f - W[f, :] at P
         live = rows[s_free != 0] * s_free[s_free != 0][:, None] % p
-        live = linalg.left_kernel_rows(self.field, live[:, zero_pivots]).dot(live) % p
+        kill = linalg.left_kernel_rows(self.field, live[:, zero_pivots])
+        live = linalg.mat_mul(self.field, kill, live)
         zeros = np.flatnonzero(s == 0)
         units = linalg.zeros(self.field, len(zeros), self.n)
         units[range(len(zeros)), zeros] = 1
-        return _KernelRows(self, w, np.vstack([live * _inverses(self.field, s) % p, units]))
+        return _KernelRows(self, w, np.vstack([live * linalg.inverses(self.field, s) % p, units]))
 
     def add_checks(self, report: ValidationReport) -> None:
         report.add("rank A_V = delta",
@@ -288,7 +280,7 @@ def mult_matrix(rep: RepA, s: np.ndarray) -> np.ndarray:
     """The table form's M_s: multiplication by s from V- to V'-coordinates."""
     if s.shape[0] != rep.n:
         raise DimensionMismatch(f"section has length {s.shape[0]}, expected {rep.n}")
-    return np.tensordot(s, rep.tables, axes=(0, 0)) % rep.field.p
+    return linalg.combine(rep.field, s, rep.tables)
 
 
 def _apply_mul(rep, s: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,7 +331,7 @@ def _division_stack(rep, kw: np.ndarray, sections) -> np.ndarray:
     """The stacked constraint matrix whose kernel is W' / {s_i}, in
     coordinates over full_v()."""
     e = rep.full_v().basis
-    return np.vstack([kw.dot(_apply_mul(rep, s, e)) % rep.field.p
+    return np.vstack([linalg.mat_mul(rep.field, kw, _apply_mul(rep, s, e))
                       for s in _nonzero_sections(sections)])
 
 
@@ -353,7 +345,7 @@ def divide(rep, wp: Subspace, sections) -> Subspace:
 def divide_raw(rep, wp_basis: np.ndarray, sections) -> Subspace:
     """Division against any (not necessarily canonical) spanning basis of W'."""
     kw = linalg.left_kernel_rows(rep.field, wp_basis)
-    return rep.from_v_coords(linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections)))
+    return _times(rep.full_v(), linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections)))
 
 
 def own_kernel(rep, s: np.ndarray, w: Subspace) -> OwnKernel:
@@ -362,11 +354,6 @@ def own_kernel(rep, s: np.ndarray, w: Subspace) -> OwnKernel:
     if not np.count_nonzero(s):
         raise ZeroSection("own-section division needs a nonzero first section")
     return rep.own_kernel(s, w)
-
-
-def _inverses(field: PrimeField, v: np.ndarray) -> np.ndarray:
-    """Entrywise inverses mod p, with 0 where v is 0."""
-    return np.array([pow(int(x), -1, field.p) if x else 0 for x in v], dtype=v.dtype)
 
 
 def own_blocks(rep, w: Subspace, sections, kw: OwnKernel | None = None) -> list[np.ndarray]:
@@ -381,9 +368,14 @@ def own_blocks(rep, w: Subspace, sections, kw: OwnKernel | None = None) -> list[
 def divide_own(rep, w: Subspace, blocks) -> Subspace:
     """Canonical basis of (s*W)/{s, t_2, ..., t_h} = {u in W : t_i*u in s*W}
     from its ``own_blocks``: W*C, C the canonical kernel of the stacked
-    blocks (canonical by the E*C lemma in the module docstring)."""
-    c = linalg.kernel_basis(rep.field, _stacked(rep, w, blocks))
-    return Subspace(rep.field, w.ambient, w.basis.dot(c.basis) % rep.field.p)
+    blocks."""
+    return _times(w, linalg.kernel_basis(rep.field, _stacked(rep, w, blocks)))
+
+
+def _times(w: Subspace, c: Subspace) -> Subspace:
+    """W*C for C in coordinates over W's canonical basis: canonical as it
+    stands, by the E*C lemma in the module docstring."""
+    return Subspace(w.field, w.ambient, linalg.mat_mul(w.field, w.basis, c.basis))
 
 
 def divide_own_is_nonzero(rep, w: Subspace, blocks) -> bool:

@@ -125,7 +125,7 @@ def sigma_random_element(field, space: Subspace, rng) -> np.ndarray:
     """Sigma-random combination of the canonical basis of the space."""
     coeffs = np.array([rng.randrange(field.sigma_size) for _ in range(space.dim)],
                       dtype=linalg.dtype_for(field))
-    return space.basis.dot(coeffs) % field.p
+    return linalg.mat_mul(field, space.basis, coeffs)
 
 
 def igs_candidate(rep, space: Subspace, h: int, rng) -> list[np.ndarray]:
@@ -216,7 +216,7 @@ def _own_section_loop(rep, d: DivisorFull, w: Subspace, rng,
 
 def star_mult_matrix(cubic: CubicData, field, s: np.ndarray) -> np.ndarray:
     """Matrix of s * . from V'-coordinates to V''-coordinates."""
-    return np.tensordot(s, cubic.star_tables, axes=(0, 0)) % field.p
+    return linalg.combine(field, s, cubic.star_tables)
 
 
 def igs_for_v(rep, cubic: CubicData, rng, stats: RetryStats | None = None) -> IgsV:

@@ -1,8 +1,8 @@
-"""Prime-field arithmetic and reproducible randomness.
+"""The field context, primality, square roots and reproducible randomness.
 
 Everything downstream computes with canonical residues in [0, p), stored as
 plain Python ints (or packed into numpy arrays by the linear algebra layer).
-A ``PrimeField`` is the arithmetic context; it also fixes the sampling subset
+A ``PrimeField`` is the field context: the modulus p and the sampling subset
 Sigma = {0, 1, ..., sigma_size - 1} used for randomized section draws.
 
 Randomness is deterministic and splittable: every randomized routine takes a
@@ -21,10 +21,6 @@ MAX_MODULUS_BITS = 62
 
 class CompositeModulus(ValueError):
     """The requested field modulus is not prime."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Inversion of the zero residue."""
 
 
 # Deterministic Miller-Rabin base set, valid for all n < 3.3 * 10^24.
@@ -56,37 +52,15 @@ def is_probable_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic context for F_p plus the sampling subset Sigma.
+    """The field F_p and its sampling subset Sigma.
 
-    Elements are canonical residues (ints in [0, p)).  Instances are
+    Elements are canonical residues (ints in [0, p)); ``linalg`` computes
+    with them in arrays and ``poly`` in polynomials.  Instances are
     immutable and safe to share across threads.
     """
 
     p: int
     sigma_size: int
-
-    def element(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise DivisionByZero(f"0 has no inverse in F_{self.p}")
-        return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
 
 
 def make_prime_field(p: int, sigma_size: int | None = None) -> PrimeField:
@@ -160,9 +134,6 @@ class RandomStream:
 
     def randint(self, a: int, b: int) -> int:
         return self._rng.randint(a, b)
-
-    def getrandbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
 
     def shuffle(self, xs: list) -> None:
         self._rng.shuffle(xs)

@@ -234,12 +234,7 @@ class CurveBundle:
         """Map a section from table coordinates to its point-value vector."""
         if self.rep_b0 is None:
             raise ValueError("bundle has no point-value representation")
-        return self.rep_b0.a_v.dot(s) % self.field.p
-
-    def to_b0_space(self, space: Subspace) -> Subspace:
-        if self.rep_b0 is None:
-            raise ValueError("bundle has no point-value representation")
-        return self.rep_b0.from_table_space(space)
+        return linalg.mat_mul(self.field, self.rep_b0.a_v, s)
 
 
 def _random_f(g: int, p: int, rng: RandomStream) -> tuple:
@@ -382,7 +377,7 @@ def _attach_rep_b0(bundle: CurveBundle, points: list, rng: RandomStream) -> Curv
         j = rng.randrange(bundle.rep_a.delta)
         ti = bundle.rep_a.full_v().basis[:, i]
         tj = bundle.rep_a.full_v().basis[:, j]
-        lhs = a_vp.dot(curverep.product(bundle.rep_a, ti, tj)) % bundle.field.p
+        lhs = linalg.mat_mul(bundle.field, a_vp, curverep.product(bundle.rep_a, ti, tj))
         rhs = a_v[:, i] * a_v[:, j] % bundle.field.p
         if np.count_nonzero(lhs - rhs):
             raise InsufficientRationalPoints("evaluation failed the product cross-check")
@@ -404,7 +399,10 @@ def gen_rep_b0(bundle: CurveBundle, rng: RandomStream) -> CurveBundle:
 # ---------------------------------------------------------------------------
 
 
-def save_bundle(bundle: CurveBundle, path: str, rep: str = "a") -> None:
+def save_bundle(bundle: CurveBundle, path: str, rep: str | None = None) -> None:
+    """Write the bundle file, naming ``rep`` as its form (default: the
+    bundle's own ``rep_tag``)."""
+    rep = bundle.rep_tag if rep is None else rep
     if rep == "b0" and bundle.rep_b0 is None:
         raise ValueError("bundle has no point-value representation to save")
     points = None

@@ -2,13 +2,22 @@
 
 Matrices are numpy arrays of canonical residues; no floating point anywhere.
 For moduli up to 2^20 the arrays are int64; for larger moduli we fall back
-to object arrays of Python ints, which are exact at any size.  One Gaussian
-elimination loop (``_eliminate``) serves rref, rank and both kernels.  It
-reduces lazily: a pivot step reduces only the pivot column, the pivot row
-and the multipliers, and the rest of the matrix is reduced once at the end.
-A step subtracts less than p^2 from an entry, so entries stay below
-min(m, n) * (p-1)^2 + p in absolute value.  For every prime p <= 2^20 that
-is below 2^63 when min(m, n) < 8,388,672; each elimination checks it.
+to object arrays of Python ints, which are exact at any size.
+
+Every F_p matrix product in the engine is made here: ``mat_mul`` for matrix
+and matrix-vector products, ``combine`` for a combination of tables.
+``inverses`` inverts a vector entrywise.  An int64 product of inner
+dimension k sums k terms below (p-1)^2 each, so it is exact when
+k * (p-1)^2 < 2^63, which holds for every p <= 2^20 when k < 2^23.  No
+caller comes near that k, so the products do not check it.
+
+One Gaussian elimination loop (``_eliminate``) serves rref, rank and both
+kernels.  It reduces lazily: a pivot step reduces only the pivot column,
+the pivot row and the multipliers, and the rest of the matrix is reduced
+once at the end.  A step subtracts less than p^2 from an entry, so entries
+stay below min(m, n) * (p-1)^2 + p in absolute value.  For every prime
+p <= 2^20 that is below 2^63 when min(m, n) < 8,388,672; each elimination
+checks it.
 
 Subspaces of F_p^N are always stored canonically: the basis matrix is in
 reduced column echelon form (pivot rows strictly increasing, pivots 1, pivot
@@ -46,6 +55,16 @@ def mat_mul(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     return a.dot(b) % field.p
+
+
+def combine(field: PrimeField, c: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """sum_i c_i * tables[i] mod p."""
+    return np.tensordot(c, tables, axes=(0, 0)) % field.p
+
+
+def inverses(field: PrimeField, v: np.ndarray) -> np.ndarray:
+    """Entrywise inverses mod p, with 0 where v is 0."""
+    return np.array([pow(int(x), -1, field.p) if x else 0 for x in v], dtype=v.dtype)
 
 
 def _eliminate(field: PrimeField, a: np.ndarray, full: bool) -> tuple[np.ndarray, list[int]]:
@@ -201,5 +220,5 @@ def contains_vector(s: Subspace, v: np.ndarray) -> bool:
     ks = constraint_rows(s.field, s)
     if ks.shape[0] == 0:
         return True
-    return not np.count_nonzero(ks.dot(v) % s.field.p)
+    return not np.count_nonzero(mat_mul(s.field, ks, v))
 

@@ -223,8 +223,8 @@ def test_criterion_7_dual_representation_consistency():
         yb = ja.mumford_to_point(model_b, m2, tag)
         za = ja.addflip(model_a, xa, ya, r.split("op"))
         zb = ja.addflip(model_b, xb, yb, r.split("op"))
-        mapped = jacobian.JacobianPoint(
-            tag, divisors.divisor_from_space(model_b.rep, bundle.to_b0_space(za.space)))
+        mapped = jacobian.JacobianPoint(tag, divisors.divisor_from_space(
+            model_b.rep, bundle.rep_b0.from_table_space(za.space)))
         if not ja.equal_class(model_b, mapped, zb):
             bad += 1
     ok = bad == 0

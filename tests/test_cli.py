@@ -3,7 +3,7 @@ import json
 import pytest
 
 from jacarith import curverep
-from jacarith.hyperelliptic import CurveBundle
+from jacarith.hyperelliptic import CurveBundle, load_bundle, save_bundle
 from jacarith.cli import main
 
 
@@ -68,6 +68,34 @@ def test_membership_suite_small_run(tmp_path, capsys):
     assert code == 0
     names = {r["case"] for r in rows}
     assert {"genuine-spaces-accepted", "perturbed-spaces-rejected"} <= names
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "igs-stats", "--trials", "0"),
+    ("verify", "--suite", "oracle", "--trials", "-3"),
+    ("scale", "--genus-list", "2", "--trials", "0"),
+    ("scale", "--genus-list", "2", "--trials", "-1")],
+    ids=["verify-0", "verify-negative", "scale-0", "scale-negative"])
+def test_trial_count_below_one_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --trials: must be at least 1" in err
+    assert "Traceback" not in err
+
+
+def test_resaved_b0_bundle_stays_b0(tmp_path, capsys):
+    path, copy = tmp_path / "b0.json", tmp_path / "copy.json"
+    assert main(["gen", "--genus", "1", "--prime", "1009", "--seed", "2",
+                 "--rep", "b0", "--out", str(path)]) == 0
+    capsys.readouterr()
+    bundle = load_bundle(str(path))
+    save_bundle(bundle, str(copy))
+    back = load_bundle(str(copy))
+    assert back.rep_tag == "b0"
+    assert back.rep_b0.points == bundle.rep_b0.points
+    assert copy.read_bytes() == path.read_bytes()
 
 
 def test_verify_without_bundle_errors(capsys):

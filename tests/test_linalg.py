@@ -50,6 +50,31 @@ def test_mat_mul_dimension_mismatch(f1009):
         ja.mat_mul(f1009, linalg.zeros(f1009, 2, 3), linalg.zeros(f1009, 4, 2))
 
 
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+def test_combine_against_explicit_sum(p):
+    field = ja.make_prime_field(p)
+    rng = ja.RandomStream(f"combine-{p}")
+    tables = np.stack([_rand(field, 3, 4, rng) for _ in range(5)])
+    c = _rand(field, 1, 5, rng)[0]
+    got = linalg.combine(field, c, tables)
+    assert got.dtype == linalg.dtype_for(field)
+    for i in range(3):
+        for j in range(4):
+            assert got[i, j] == sum(int(c[k]) * int(tables[k, i, j]) for k in range(5)) % p
+
+
+@pytest.mark.parametrize("p", [1009, 2**31 - 1])
+def test_inverses_invert_nonzero_entries_and_keep_zeros(p):
+    field = ja.make_prime_field(p)
+    v = _rand(field, 1, 40, ja.RandomStream(f"inverses-{p}"))[0]
+    v[:4] = [0, 1, 2, p - 1]
+    inv = linalg.inverses(field, v)
+    assert inv.dtype == v.dtype
+    assert list(inv[:4]) == [0, 1, (p + 1) // 2, p - 1]
+    for x, y in zip(v, inv):
+        assert int(x) * int(y) % p == (1 if x else 0)
+
+
 def test_column_echelon_idempotent(f1009):
     rng = ja.RandomStream("ech")
     s = ja.column_echelon(f1009, _rand(f1009, 8, 4, rng))

@@ -11,6 +11,8 @@
   only tests call belongs in the tests.
 * ``divisors`` and ``jacobian`` take no ``basis[:, 0]``: the section that
   heads brief forms and flips is chosen by ``rep.head`` alone.
+* No module but ``linalg`` forms a matrix product (``.dot``, ``np.dot``,
+  ``tensordot`` or ``@``): the product arithmetic is chosen in one place.
 """
 
 import ast
@@ -23,6 +25,7 @@ MODULES = sorted(SRC.glob("*.py"))
 ENGINE = {path.stem for path in MODULES}
 ALLOWED = {("curverep", "_apply_mul")}
 HEAD_POLICY = {"divisors", "jacobian"}  # modules that take heads from rep.head
+PRODUCTS = {"dot", "tensordot"}  # matrix products, made in linalg alone
 
 
 def _private(name: str) -> bool:
@@ -48,6 +51,15 @@ def _first_column(node) -> bool:
             and isinstance(node.slice.elts[1], ast.Constant) and node.slice.elts[1].value == 0)
 
 
+def _matrix_product(node) -> str | None:
+    """The product node forms, if it is ``.dot``/``.tensordot`` or ``@``."""
+    if isinstance(node, ast.Attribute) and node.attr in PRODUCTS:
+        return node.attr
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    return None
+
+
 def violations(path: Path) -> list:
     tree = ast.parse(path.read_text(), filename=str(path))
     aliases = _module_aliases(tree)
@@ -58,6 +70,8 @@ def violations(path: Path) -> list:
             found.append(f"{where}: assert statement")
         elif path.stem in HEAD_POLICY and _first_column(node):
             found.append(f"{where}: basis[:, 0] instead of rep.head")
+        elif path.stem != "linalg" and (product := _matrix_product(node)):
+            found.append(f"{where}: {product} product outside linalg")
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in aliases and _private(node.attr)
               and (aliases[node.value.id], node.attr) not in ALLOWED):
@@ -82,10 +96,17 @@ def test_rules_catch_what_they_describe(tmp_path):
                    "jacobian._space_bytes(None)\n"
                    "cr._apply_mul(None, None, None)\n"
                    "cr._division_stack(None, None, None)\n"
-                   "jacobian.__name__\n")
+                   "jacobian.__name__\n"
+                   "m = a.dot(b) % p\n"
+                   "m = np.tensordot(s, tables, axes=(0, 0)) % p\n"
+                   "m = a @ b\n"
+                   "rep.mat_mul(a, b)\n")
     assert [v.split(": ", 1)[1] for v in violations(bad)] == [
-        "from .linalg import _eliminate", "assert statement",
-        "jacobian._space_bytes", "cr._division_stack"]
+        "from .linalg import _eliminate", "assert statement", "@ product outside linalg",
+        "jacobian._space_bytes", "cr._division_stack", "dot product outside linalg",
+        "tensordot product outside linalg"]
+    (tmp_path / "linalg.py").write_text("m = a.dot(b) % p\nm = a @ b\n")
+    assert violations(tmp_path / "linalg.py") == []
 
 
 def test_head_rule_catches_what_it_describes(tmp_path):

@@ -77,7 +77,7 @@ def _replay(p: int, tag: str) -> str:
     stats = model.stats
     put(stats.calls, stats.attempts, sorted(stats.histogram.items()))
     if tag == "b0":
-        put(bundle.to_b0_space(bundle.precomp("a", with_cubic=False)[1].w_d0).basis)
+        put(bundle.rep_b0.from_table_space(bundle.precomp("a", with_cubic=False)[1].w_d0).basis)
     return h.hexdigest()
 
 
