@@ -284,6 +284,8 @@ def cmd_verify(args) -> int:
     return 0 if report.flush() else 1
 
 
+SCALE_SCALAR = 9  # timed by scale --op scalar-mul: bit length 4, two bits set
+
 # op name -> (size tag of its operands, call on model, x, y, stream)
 OPS = {
     "addflip-large": (LARGE, lambda m, x, y, r: jacobian.addflip_large(m, x, y, r)),
@@ -292,6 +294,7 @@ OPS = {
     "negate": (SMALL, lambda m, x, y, r: jacobian.negate(m, x, r)),
     "equal": (SMALL, lambda m, x, y, r: jacobian.equal_class(m, x, y)),
     "flip": (SMALL, lambda m, x, y, r: divisors.flip(m.rep, x.divisor, r, stats=m.stats)),
+    "scalar-mul": (SMALL, lambda m, x, y, r: jacobian.scalar_mul(m, SCALE_SCALAR, x, r)),
 }
 
 
@@ -309,6 +312,8 @@ def _time_op(model, op: str, pts, rng: RandomStream, trials: int) -> list:
 
 def cmd_scale(args) -> int:
     genera = [int(tok) for tok in args.genus_list.split(",") if tok]
+    if not genera:
+        raise ValueError(f"--genus-list names no genus: {args.genus_list!r}")
     tag = OPS[args.op][0]
     rows = []
     for g in genera:

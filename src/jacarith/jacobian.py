@@ -4,8 +4,9 @@ A class x is represented by the section space W_D of an effective divisor D
 of degree d ("small", class of D - D_0) or 2d ("large", class of D - 2*D_0),
 where D_0 is a fixed degree-d divisor and the curve's line bundle has degree
 Delta = 3d.  The primitive group operation is the addflip (x, y) -> -(x+y),
-from which negation and addition are derived; equality of classes is a
-single division with a nonzero-ness check.
+from which negation and addition are derived, and scalar multiplication is
+a signed ladder that spends one addflip per doubling and per addition;
+equality of classes is a single division with a nonzero-ness check.
 
 Las Vegas steps that the interface does not thread a stream through
 (class-equality deflations, lazy precomputations) draw from streams keyed by
@@ -257,20 +258,25 @@ def add(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
 
 def scalar_mul(model: LargeModel, n: int, x: JacobianPoint,
                rng: RandomStream) -> JacobianPoint:
-    """n-fold sum by double-and-add over add/negate."""
+    """n*x by a signed ladder of addflips.
+
+    The ladder holds acc = eps*k*x, k the leading bits of |n| and eps a
+    sign.  A doubling is addflip(acc, acc) = -2*acc and an addition is
+    addflip(acc, eps*x) = -(acc + eps*x), so each step is one addflip and
+    flips eps.  -x is one negation, made the first time an addition needs
+    it, and the result is negated once at the end only if eps is not n's
+    sign.
+    """
     if n == 0:
         return zero_point(model, x.tag)
-    if n < 0:
-        return negate(model, scalar_mul(model, -n, x, rng), rng)
-    acc = None
-    base = x
-    while n:
-        if n & 1:
-            acc = base if acc is None else add(model, acc, base, rng)
-        n >>= 1
-        if n:
-            base = add(model, base, base, rng)
-    return acc
+    acc, eps, neg_x = x, 1, None
+    for bit in bin(abs(n))[3:]:  # the bits of |n| below its top bit
+        acc, eps = addflip(model, acc, acc, rng), -eps
+        if bit == "1":
+            if eps < 0 and neg_x is None:
+                neg_x = negate(model, x, rng)
+            acc, eps = addflip(model, acc, x if eps > 0 else neg_x, rng), -eps
+    return acc if eps * n > 0 else negate(model, acc, rng)
 
 
 def _require(model: LargeModel, x: JacobianPoint, tag: str) -> None:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jacarith import curverep
+from jacarith import curverep, jacobian
 from jacarith.hyperelliptic import CurveBundle, load_bundle, save_bundle
 from jacarith.cli import main
 
@@ -132,6 +132,34 @@ def test_scale_times_add_and_negate(capsys, op):
     timed = [r for r in rows if r["case"] == "g=2"]
     assert len(timed) == 1 and timed[0]["details"]["op"] == op
     assert timed[0]["details"]["median_ns"] > 0
+
+
+@pytest.mark.parametrize("genus_list", ["", ","], ids=["empty", "comma"])
+def test_scale_empty_genus_list_rejected(capsys, genus_list):
+    code, rows, err = _run(capsys, "scale", "--genus-list", genus_list, "--trials", "1")
+    assert code == 2
+    assert rows == []
+    assert "error: --genus-list names no genus" in err and "Traceback" not in err
+
+
+def test_scale_times_scalar_mul(capsys, monkeypatch):
+    scalars = []
+    scalar_mul = jacobian.scalar_mul
+
+    def spy(model, n, x, rng):
+        scalars.append(n)
+        return scalar_mul(model, n, x, rng)
+
+    monkeypatch.setattr(jacobian, "scalar_mul", spy)
+    code, rows, _ = _run(capsys, "scale", "--op", "scalar-mul", "--genus-list", "2",
+                         "--trials", "1", "--seed", "1")
+    assert code == 0
+    timed = [r for r in rows if r["case"] == "g=2"]
+    assert len(timed) == 1 and timed[0]["details"]["op"] == "scalar-mul"
+    assert timed[0]["details"]["median_ns"] > 0
+    # one call, with a fixed scalar of bit length 4 and two bits set
+    assert len(scalars) == 1
+    assert scalars[0].bit_length() == 4 and scalars[0].bit_count() == 2
 
 
 def test_b0_suite_through_cli(tmp_path, capsys):

@@ -272,3 +272,67 @@ def test_point_value_ops_match_the_oracle(g, p):
         assert ja.equal_class(model, x, y) == (m1 == m2)
         assert ja.equal_class(model, ja.mumford_to_point(model, total),
                               ja.add(model, x, y, r.split("add2")))
+
+
+@pytest.fixture(scope="module")
+def ladder_bundle():
+    return ja.gen_rep_b0(ja.gen_hyperelliptic(2, 1009, rng=ja.RandomStream("ladder")),
+                         ja.RandomStream("ladder-points"))
+
+
+@pytest.mark.parametrize("tag", [ja.SMALL, ja.LARGE])
+@pytest.mark.parametrize("form", ["a", "b0"])
+def test_scalar_mul_matches_the_oracle(ladder_bundle, form, tag):
+    model = ladder_bundle.large_model(ja.RandomStream(f"ladder-model-{form}"), form,
+                                      compute_defl_v=False)
+    curve = ladder_bundle.curve
+    rng = ja.RandomStream(f"ladder-{form}-{tag}")
+    m = ja.random_mumford(curve, rng.split("m"))
+    x, zero = ja.mumford_to_point(model, m, tag), ja.zero_point(model, tag)
+    drawn = rng.split("n").randint(2, 2**16 - 1)
+    for n in (0, 1, -1, 2, -2, 3, -3, 9, 10, 12, -12, drawn):
+        got = ja.scalar_mul(model, n, x, rng.split(f"smul{n}"))
+        assert ja.oracle_compare(model, got, ja.cantor_scalar(curve, n, m)), n
+    for n in (2, -3, 12, drawn):
+        got = ja.scalar_mul(model, n, zero, rng.split(f"zero{n}"))
+        assert ja.oracle_compare(model, got, ja.neutral()), n
+
+
+def test_scalar_mul_matches_the_oracle_at_word_size():
+    p = 2**31 - 1
+    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(2, p, rng=ja.RandomStream("ladder-word")),
+                           ja.RandomStream("ladder-word-points"))
+    model = bundle.large_model(ja.RandomStream("ladder-word-model"), "b0",
+                               compute_defl_v=False)
+    rng = ja.RandomStream("ladder-word-ops")
+    m = ja.random_mumford(bundle.curve, rng.split("m"))
+    n = rng.split("n").randint(2, 2**16 - 1)
+    got = ja.scalar_mul(model, n, ja.mumford_to_point(model, m), rng.split("smul"))
+    assert ja.oracle_compare(model, got, ja.cantor_scalar(bundle.curve, n, m))
+
+
+def test_scalar_mul_spends_one_addflip_per_step(ladder_bundle, monkeypatch):
+    # (bit_length - 1) doublings and (popcount - 1) additions of |n|, plus
+    # one negation of x if an addition needs -x and one of the result if
+    # the ladder ends on the wrong sign
+    model = ladder_bundle.large_model(ja.RandomStream("ladder-model-a"), "a",
+                                      compute_defl_v=False)
+    x = ja.mumford_to_point(model, ja.random_mumford(ladder_bundle.curve,
+                                                     ja.RandomStream("ladder-count")))
+    calls = []
+    addflip = jacobian.addflip
+
+    def spy(*args):
+        calls.append(1)
+        return addflip(*args)
+
+    monkeypatch.setattr(jacobian, "addflip", spy)
+
+    def count(n):
+        calls.clear()
+        ja.scalar_mul(model, n, x, ja.RandomStream(f"count{n}"))
+        return len(calls)
+
+    expected = {9: 5, 10: 4, 12: 5, 0: 0, 1: 0, -1: 1, 2: 2, -2: 1, 3: 3, -3: 4,
+                -12: 6, 45: 9, -45: 10}
+    assert {n: count(n) for n in expected} == expected

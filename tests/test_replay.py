@@ -24,10 +24,10 @@ import pytest
 import jacarith as ja
 
 RECORDED = {
-    (1009, "a"): "f7c6b17bb624f33a2f7d74096b79b3d9ca6b44f84727d775bb69b223aefd1c66",
-    (1009, "b0"): "be244ab52b2e2cc14c74c2a89a8b7d911a6301b9e4384ccebb60f2427b8cd105",
-    (2**31 - 1, "a"): "3ecc3eab788290661b016c414bd0d82e8e15102e86f81d1d9f815b0e58ab2546",
-    (2**31 - 1, "b0"): "5b96bca3d9f519ad26bbd5f0167466aef7b4500cf763c4aca364daf3ad18346e",
+    (1009, "a"): "38bbf2dd97b7f719152adfa1d46953cb5784276815d22625464c29219f3ac440",
+    (1009, "b0"): "a5842f5d4bacaf1d8b4ca46606762dafbdec49108430e4d0067ccd66c011277b",
+    (2**31 - 1, "a"): "4287dac015129ea297627c25c1394f2fb1282ee53312d3e8e3b5207fc4e42a03",
+    (2**31 - 1, "b0"): "c251bf891e85eb8615086fdc633e2086f66a3283cddfa769efe8f51ed190d96d",
 }
 
 
