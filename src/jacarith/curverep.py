@@ -37,10 +37,12 @@ with the dividend's own section s != 0, then
 (s*W)/{s, t_2, ..., t_h} = {u in W : t_i*u in s*W}, because s*u lies in s*W
 exactly when u lies in W.  With K the left kernel of s*W, the quotient is
 W*C for C the canonical kernel of the stacked blocks K*(t_i*W): dim W
-columns, and no block for s (it would be K*(s*W) = 0).  The same blocks
-side by side have rank dim(s*W + t_2*W + ... + t_h*W) - dim W, which for
-W = V is the codimension test of a generating set, so a flip can verify its
-candidate and divide on one K.
+columns, and no block for s (it would be K*(s*W) = 0).  Stacked, the
+blocks have rank r = dim W - dim of the quotient.  For W = W_{D_W},
+(s) = D + D' and (t_i) = D + T_i the quotient is W_{D_W + D' - B},
+B = gcd(D', T_2, ..., T_h), whose codimension is its degree while that is
+at most Delta - 2g + 1.  So r = Delta - deg D - deg B: r = Delta - deg D
+exactly when the candidate generates D, and r is smaller otherwise.
 
 K in table form is the left kernel of M_s*W, by elimination, and each
 block is its rows times M_t*W.  In point-value form multiplication is
@@ -61,17 +63,15 @@ at the zeros of s are added; that K keeps its rows, and its blocks are
 products as in table form.  Quotients and verdicts depend only on the row
 space of K, so every form gives the same quotients.
 
-The own-section users: every flip, fused with its deflation at its own
-section s (W_D's head or a given section of W_D), and every deflation, both
-verified on K of s*V; the middle division of ``addflip_small`` and the final
-division of ``addflip_large``, each by a brief form headed by the dividend's
-section (s0 for the stored brief form of 2*D_0); and ``equal_class``.  The
-two addflip divisions draw their brief form as they divide
-(``divisors.divide_by``) and verify it by the quotient's degree, with no
-rank: for (s) = D + D' and (t_i) = D + T_i the quotient is
-W_{D_W + D' - B}, B = gcd(D', T_2, ..., T_h), which has degree
-deg W + Delta - deg D exactly when the candidate generates D, and a degree
-in [deg W, that) otherwise.
+The own-section users: ``divisors``' one candidate loop, which judges
+every candidate by r, in every deflation (the rank alone, ``own_rank``, on
+K of s*V), every flip (the division (s*V)/D at its own section s, W_D's
+head or a given section of W_D) and the middle division of
+``addflip_small`` and the final division of ``addflip_large``
+(``divisors.divide_by``, by a brief form headed by the dividend's section),
+where r is dim W less the quotient's dimension; the division by the stored
+brief form of 2*D_0, headed by s0; and ``equal_class``, whose quotient is
+nonzero exactly when ``own_rank`` < dim W.
 ``divide_raw`` remains only for ``divide`` (``inflate``,
 ``membership_test``), whose dividend is not a product s*W.
 
@@ -378,9 +378,10 @@ def _times(w: Subspace, c: Subspace) -> Subspace:
     return Subspace(w.field, w.ambient, linalg.mat_mul(w.field, w.basis, c.basis))
 
 
-def divide_own_is_nonzero(rep, w: Subspace, blocks) -> bool:
-    """Whether ``divide_own`` would return a nonzero space: rank < dim W."""
-    return linalg.matrix_rank(rep.field, _stacked(rep, w, blocks)) < w.dim
+def own_rank(rep, w: Subspace, blocks) -> int:
+    """Rank of the stacked ``own_blocks``, dim W - dim ``divide_own``,
+    without building the quotient."""
+    return linalg.matrix_rank(rep.field, _stacked(rep, w, blocks))
 
 
 def _stacked(rep, w: Subspace, blocks) -> np.ndarray:

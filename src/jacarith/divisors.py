@@ -5,8 +5,10 @@ sections vanishing on D, with degree = codim) or in brief form (an ideal
 generating set: a few sections whose common zero divisor is exactly D).
 Random candidates for brief form succeed with probability >= 1/2 at the
 advertised size h, and success is verifiable by a dimension count, so every
-conversion loop terminates with verified output.  A candidate that feeds
-one division (``divide_by``) is verified by the quotient's degree.
+conversion loop terminates with verified output.  Every retry runs through
+one capped loop, and every candidate headed by its own section s (deflate,
+flip, divide_by) is judged by one rule: r, the rank of its blocks
+K*(t_i*W), equals Delta - deg D.  A flip is the division (s*V)/D.
 """
 
 from __future__ import annotations
@@ -147,71 +149,91 @@ def is_igs(rep, brief: DivisorBrief, expected_codim: int) -> bool:
 
     The sum of products s_1*V + ... + s_h*V always lands inside W'_D, so for
     2g-1 <= deg D the test reduces to comparing codimensions in V'.
-    ``deflate`` and ``flip`` make the same test on smaller blocks
-    instead: with K the left kernel of s*V for the candidate's head s, the
-    blocks K*(t_i*V) side by side have rank Delta - deg D exactly when the
-    codimension is deg D.  ``divide_by`` reads it off its quotient's degree.
-    This function stays as their reference.
+    ``deflate``, ``flip`` and ``divide_by`` decide the same question on
+    smaller blocks instead: with K the left kernel of s*W for the
+    candidate's head s, the stacked blocks K*(t_i*W) have rank
+    Delta - deg D exactly when the candidate generates D
+    (``_own_section_loop``).  This function stays as their reference.
     """
     dim = curverep.sum_of_products_dim(rep, brief.sections, rep.full_v())
     return rep.delta_prime - dim == expected_codim
-
-
-def _require_comfort_degree(rep, d: DivisorFull, what: str) -> None:
-    if not 2 * rep.g - 1 <= d.degree <= rep.Delta - 2 * rep.g:
-        raise PreconditionDegree(
-            f"{what} needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
 
 
 def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
             s: np.ndarray | None = None) -> DivisorBrief:
     """Las Vegas full-to-brief conversion; output is always verified.
 
-    Runs the candidate loop that ``flip`` runs (``_own_section_loop`` on V)
-    and accepts a candidate (s, t_2, ..., t_h) when the blocks K*(t_i*V)
-    side by side have rank Delta - deg D: because s lies in W_D, that is
-    ``is_igs``'s verdict on a smaller matrix, with one K for all candidates.
+    Runs the candidate loop of ``flip`` (``_own_section_loop`` on V) and
+    judges each candidate (s, t_2, ..., t_h) by the rank of its blocks
+    K*(t_i*V) alone (``curverep.own_rank``), with no quotient built.
     s is W_D's head (``rep.head``) or the given nonzero section of W_D.
     It serves brief forms that are kept (D_0, 2*D_0) or not divided by.
     """
-    rank = rep.Delta - d.degree
-
-    def verified(brief, blocks):
-        return brief if _side_by_side_rank(rep, blocks) == rank else None
-
-    return _own_section_loop(rep, d, rep.full_v(), rng, stats, s, "deflation", verified)
+    return _own_section_loop(rep, d, rep.full_v(), rng, stats, s, "deflation", _ranked)
 
 
-def _side_by_side_rank(rep, blocks) -> int:
-    return linalg.matrix_rank(rep.field, np.hstack(blocks)) if blocks else 0
+def _ranked(rep, w: Subspace, brief: DivisorBrief, blocks):
+    """``deflate``'s judge: r is the rank alone, and the candidate the result."""
+    return curverep.own_rank(rep, w, blocks), brief
+
+
+def _divided(rep, w: Subspace, brief: DivisorBrief, blocks):
+    """The judge of ``flip`` and ``divide_by``: r is dim W less the
+    quotient's dimension, and the quotient the result."""
+    space = curverep.divide_own(rep, w, blocks)
+    return w.dim - space.dim, divisor_from_space(rep, space)
+
+
+def _retry(what: str, stats: RetryStats | None, attempt):
+    """The one Las Vegas loop: calls ``attempt`` until it returns something
+    other than None (a redraw), at most _LOOP_CAP times, and records the
+    attempts taken in stats."""
+    for n in range(1, _LOOP_CAP + 1):
+        out = attempt()
+        if out is not None:
+            if stats is not None:
+                stats.record(n)
+            return out
+    raise LasVegasExhausted(f"{what} failed repeatedly; data is likely inconsistent")
 
 
 def _own_section_loop(rep, d: DivisorFull, w: Subspace, rng,
                       stats: RetryStats | None, s: np.ndarray | None,
-                      what: str, accept):
-    """The one candidate loop of ``deflate``, ``flip`` and ``divide_by``.
+                      what: str, judge):
+    """The one candidate loop of ``deflate``, ``flip`` and ``divide_by``,
+    with the one verdict.
 
     s is W_D's head (``rep.head``) or the given nonzero section of W_D, and
     K, the left kernel of s*W, is built once.  Each candidate is
     (s, t_2, ..., t_h), the t_i the Sigma-random elements of W_D that
-    ``random_igs_candidate`` draws, and ``accept`` maps it and its blocks
-    K*(t_i*W) to a result, or to None for a redraw; the attempts taken are
-    recorded in stats.
+    ``random_igs_candidate`` draws, and ``judge`` maps rep, W, it and its
+    blocks K*(t_i*W) to (r, out), r the rank of the stacked blocks.
+    r = Delta - deg D - deg B (``curverep``'s own-section paragraph), so
+    r = Delta - deg D accepts out, a smaller r >= 0 is a redraw, and
+    anything else breaks the degree law.
     """
-    _require_comfort_degree(rep, d, what)
+    if not 2 * rep.g - 1 <= d.degree <= rep.Delta - 2 * rep.g:
+        raise PreconditionDegree(
+            f"{what} needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
     if d.space.dim == 0:
         raise EmptySpace(f"{what} needs a nonzero space W_D")
     kw = curverep.own_kernel(rep, rep.head(d.space) if s is None else s, w)
-    for attempt in range(1, _LOOP_CAP + 1):
+    low, want = rep.delta - w.dim, rep.Delta - d.degree
+
+    def attempt():
         brief = random_igs_candidate(rep, d, rng)
         if s is not None:
             brief = DivisorBrief((s.copy(),) + brief.sections[1:])
-        out = accept(brief, curverep.own_blocks(rep, w, brief.sections, kw))
-        if out is not None:
-            if stats is not None:
-                stats.record(attempt)
+        r, out = judge(rep, w, brief, curverep.own_blocks(rep, w, brief.sections, kw))
+        if r == want:
             return out
-    raise LasVegasExhausted(f"{what} failed repeatedly; data is likely inconsistent")
+        if 0 <= r < want:
+            return None
+        raise curverep.DegreeLawViolation(
+            f"{what} of a degree-{low} space by a degree-{d.degree} divisor:"
+            f" the quotient has degree {low + r}, expected {low + want}")
+
+    return _retry(what, stats, attempt)
 
 
 def star_mult_matrix(cubic: CubicData, field, s: np.ndarray) -> np.ndarray:
@@ -232,13 +254,12 @@ def igs_for_v(rep, cubic: CubicData, rng, stats: RetryStats | None = None) -> Ig
             f" the representation has length {rep.n}")
     h = igs_size_h(rep.Delta, 0, rep.field.sigma_size)
     full = rep.full_v()
-    for attempt in range(1, _LOOP_CAP + 1):
+
+    def attempt():
         sections = igs_candidate(rep, full, h, rng)
-        if verify_igs_v(rep, cubic, sections):
-            if stats is not None:
-                stats.record(attempt)
-            return IgsV(tuple(sections))
-    raise LasVegasExhausted("could not find a generating set for V")
+        return IgsV(tuple(sections)) if verify_igs_v(rep, cubic, sections) else None
+
+    return _retry("the search for a generating set of V", stats, attempt)
 
 
 def verify_igs_v(rep, cubic: CubicData, sections) -> bool:
@@ -258,53 +279,29 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
     """Complementary divisor: for s in W_D with (s) = D + E, compute W_E.
 
     s is W_D's head (``rep.head``) or the given nonzero section of W_D, and
-    the result satisfies deg E = Delta - deg D.  W_E is (s*V)/{s, t_2, ...,
-    t_h} = {u in V : t_i*u in s*V} for a generating set of D headed by s,
-    and the flip is fused with the deflation that finds it: ``deflate``'s
-    candidate loop (``_own_section_loop``, one K of s*V), where the blocks
-    K*(t_i*V) side by side have rank Delta - deg D exactly when ``is_igs``
-    accepts, and their stacked kernel is the flip.  For h = 2 the one
-    kernel gives both.  s also lies in W_E, so a caller can go on to divide
-    s*W by E at s (``divide_by``).
+    the result satisfies deg E = Delta - deg D.  W_E is (s*V)/D, the
+    division of ``divide_by`` on W = V: (s*V)/{s, t_2, ..., t_h} =
+    {u in V : t_i*u in s*V} for a generating set of D headed by s, drawn and
+    verified as it divides.  s also lies in W_E, so a caller can go on to
+    divide s*W by E at s (``divide_by``).
     """
-    rank = rep.Delta - d.degree  # rank of the blocks for a generating set
-    full = rep.full_v()
-
-    def divided(brief, blocks):
-        if len(blocks) > 1 and _side_by_side_rank(rep, blocks) != rank:
-            return None
-        space = curverep.divide_own(rep, full, blocks)
-        # with one block (h = 2) its rank, dim V - dim quotient, is the verdict
-        return space if len(blocks) > 1 or full.dim - space.dim == rank else None
-
-    space = _own_section_loop(rep, d, full, rng, stats, s, "flip", divided)
-    out = divisor_from_space(rep, space)
-    return require_degree(out, rep.Delta - d.degree, f"flip of a degree-{d.degree} divisor")
+    return _own_section_loop(rep, d, rep.full_v(), rng, stats, s, "flip", _divided)
 
 
 def divide_by(rep, w: Subspace, d: DivisorFull, rng, s: np.ndarray | None = None,
               stats: RetryStats | None = None) -> DivisorFull:
     """(s*W)/D for s in W_D, by a generating set of D that the division
     verifies: the candidate loop on W (``_own_section_loop``) divides each
-    candidate (s, t_2, ..., t_h) at once, and with (s) = D + D' the quotient
-    has degree deg W + Delta - deg D exactly when the candidate generates D,
-    and a degree in [deg W, that) otherwise (``curverep``'s own-section
-    paragraph); any other degree is a ``DegreeLawViolation``.  s is W_D's
+    candidate (s, t_2, ..., t_h) at once, and the quotient has degree
+    deg W + Delta - deg D exactly when the candidate generates D, as long as
+    that is at most Delta - 2g + 1, where degree is codimension.  s is W_D's
     head (``rep.head``) or the given nonzero section of W_D.
     """
-    low = rep.delta - w.dim
-    target = low + rep.Delta - d.degree
-    if target > rep.Delta - 2 * rep.g:
+    target = rep.delta - w.dim + rep.Delta - d.degree
+    if target > rep.Delta - 2 * rep.g + 1:
         raise PreconditionDegree(
-            f"division needs deg W + Delta - deg D <= Delta-2g, got {target}")
-
-    def divided(brief, blocks):
-        out = divisor_from_space(rep, curverep.divide_own(rep, w, blocks))
-        if low <= out.degree < target:
-            return None
-        return require_degree(out, target, f"division of a degree-{low} space")
-
-    return _own_section_loop(rep, d, w, rng, stats, s, "division", divided)
+            f"division needs deg W + Delta - deg D <= Delta-2g+1, got {target}")
+    return _own_section_loop(rep, d, w, rng, stats, s, "division", _divided)
 
 
 def membership_test(rep, w: Subspace, defl_v: IgsV, rng,
@@ -321,16 +318,13 @@ def membership_test(rep, w: Subspace, defl_v: IgsV, rng,
         raise PreconditionCodim(
             f"membership test needs 2g <= codim <= Delta-2g, got codim = {c}")
     h = igs_size_h(rep.Delta, 0, rep.field.sigma_size)
-    for attempt in range(1, _LOOP_CAP + 1):
+
+    def attempt():
         sections = igs_candidate(rep, w, h, rng)
         u_prime = curverep.sum_of_products(rep, sections, rep.full_v())
         c_prime = rep.delta_prime - u_prime.dim
         if c_prime > c:
-            continue
-        if stats is not None:
-            stats.record(attempt)
-        if c_prime < c:
-            return False
-        u = curverep.divide(rep, u_prime, defl_v.sections)
-        return u == w
-    raise LasVegasExhausted("membership test failed to draw a generating set")
+            return None
+        return c_prime == c and curverep.divide(rep, u_prime, defl_v.sections) == w
+
+    return _retry("membership test", stats, attempt)

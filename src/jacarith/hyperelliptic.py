@@ -433,8 +433,9 @@ def _checked_points(curve: HyperellipticCurve, raw, count: int) -> list:
     if len(set(points)) != count:
         raise MalformedFile("evaluation points are not distinct")
     for x, y in points:
-        if not all(isinstance(c, int) and 0 <= c < curve.p for c in (x, y)):
-            raise MalformedFile(f"point ({x}, {y}) has a coordinate outside [0, {curve.p})")
+        if not all(type(c) is int and 0 <= c < curve.p for c in (x, y)):  # no bools
+            raise MalformedFile(
+                f"point ({x!r}, {y!r}) has a coordinate outside the integers in [0, {curve.p})")
         if not _on_curve(curve, x, y):
             raise MalformedFile(f"point ({x}, {y}) is not on the curve")
     return points
@@ -456,6 +457,9 @@ def load_bundle(path: str) -> CurveBundle:
                 f"unsupported bundle version {doc.get('version')} (expected"
                 f" {BUNDLE_VERSION}); regenerate the file with `jacarith gen`")
         p, g, Delta, d = doc["p"], doc["g"], doc["Delta"], doc["d"]
+        for name, value in (("p", p), ("g", g), ("Delta", Delta), ("d", d)):
+            if type(value) is not int and not (name == "d" and value is None):  # no bools
+                raise MalformedFile(f"{name} must be an integer, got {value!r}")
         if doc["rep"] not in ("a", "b0"):
             raise MalformedFile(f"unknown representation tag {doc['rep']!r}")
         if doc["rep"] == "b0" and doc["points"] is None:

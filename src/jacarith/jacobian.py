@@ -9,8 +9,8 @@ a signed ladder that spends one addflip per doubling and per addition;
 equality of classes is a single division with a nonzero-ness check.
 
 Las Vegas steps that the interface does not thread a stream through
-(class-equality deflations, lazy precomputations) draw from streams keyed by
-the operand data, so every run is replayable.
+(class-equality deflations, ``LargeModel.flip_of`` called without one)
+draw from streams keyed by the operand data, so every run is replayable.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ class LargeModel:
 
     def __init__(self, rep, d: int, w_d0: DivisorFull, w_2d0: DivisorFull,
                  s0: np.ndarray, defl_d0: DivisorBrief, defl_2d0: DivisorBrief,
-                 defl_v: IgsV | None, cubic: CubicData | None, salt: str,
-                 stats: RetryStats):
+                 defl_v: IgsV | None, salt: str, stats: RetryStats):
         self.rep = rep
         self.g = rep.g
         self.d = d
@@ -75,19 +74,15 @@ class LargeModel:
         self.defl_D0 = defl_d0
         self.defl_2D0 = defl_2d0
         self._defl_v = defl_v
-        self._cubic = cubic
         self._salt = salt
         self.stats = stats
 
     @property
     def defl_v(self) -> IgsV:
-        """Generating set for V, needed by membership tests and inflation."""
+        """Generating set for V, needed by membership tests and inflation:
+        the one ``make_large_model`` was given or found."""
         if self._defl_v is None:
-            if self._cubic is None:
-                raise InconsistentPrecomp(
-                    "no cubic data available to produce a generating set for V")
-            rng = self.content_stream("defl-v")
-            self._defl_v = divisors.igs_for_v(self.rep, self._cubic, rng, self.stats)
+            raise InconsistentPrecomp("this model was built without a generating set for V")
         return self._defl_v
 
     def content_stream(self, label: str, *spaces: Subspace) -> RandomStream:
@@ -147,8 +142,7 @@ def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
         defl_v = IgsV(tuple(precomp.defl_v_sections))
     elif compute_defl_v and precomp.cubic is not None:
         defl_v = divisors.igs_for_v(rep, precomp.cubic, rng.split("defl-v"), stats)
-    return LargeModel(rep, d, w_d0, w_2d0, s0, defl_d0, defl_2d0,
-                      defl_v, precomp.cubic, rng.seed, stats)
+    return LargeModel(rep, d, w_d0, w_2d0, s0, defl_d0, defl_2d0, defl_v, rng.seed, stats)
 
 
 def zero_point(model: LargeModel, tag: str) -> JacobianPoint:
@@ -186,7 +180,7 @@ def equal_class(model: LargeModel, x: JacobianPoint, y: JacobianPoint) -> bool:
     rep = model.rep
     defl_x = model.defl_of(x.divisor)
     blocks = curverep.own_blocks(rep, y.space, defl_x.sections)
-    return curverep.divide_own_is_nonzero(rep, y.space, blocks)
+    return curverep.own_rank(rep, y.space, blocks) < y.space.dim
 
 
 def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
@@ -197,7 +191,7 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     flip gives W_D~.  s lies in W_D~, so the middle division of s*W_y by D~
     is the own-section one over dim W_y columns, by a generating set of D~
     headed by s that the division verifies by its degree, 2d
-    (``divisors.divide_by``).  The last flip is fused with its deflation.
+    (``divisors.divide_by``).  Each flip is the same kind of division, of s*V.
     """
     _require(model, x, SMALL)
     _require(model, y, SMALL)

@@ -159,17 +159,30 @@ def test_flip_degree_and_dimension_laws(bundle_g2, model_g2):
 
 
 def test_flip_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch):
-    # a division that returns all of V breaks deg E = Delta - deg D; at
-    # |Sigma| = 2 (h > 2) the side-by-side rank accepts a candidate first
-    rep, pool = _flip_case(1009, 2)
+    # one rule judges every candidate by r = dim V - dim quotient against
+    # Delta - deg D, at h = 2 (|Sigma| = 1009) and h > 2 (|Sigma| = 2).  A
+    # division that returns all of V has r = 0, a redraw, so the flip gives
+    # up; one that returns the zero space has r = dim V > Delta - deg D,
+    # which no candidate can reach on consistent data
     d = _bridged(bundle_g2, model_g2, "law", 0)
-    monkeypatch.setattr(curverep, "divide_own", lambda rep, w, blocks: rep.full_v())
-    with pytest.raises(curverep.DegreeLawViolation, match="flip"):
-        ja.flip(rep, pool[-1], ja.RandomStream("law"))
-    # with h = 2 the kernel dimension is the candidate's verdict, so the same
-    # wrong division rejects every candidate instead
-    with pytest.raises(divisors.LasVegasExhausted):
-        ja.flip(bundle_g2.rep_a, d, ja.RandomStream("law"))
+    rep_h, pool = _flip_case(1009, 2)
+    for rep, e in ((bundle_g2.rep_a, d), (rep_h, pool[0])):
+        monkeypatch.setattr(curverep, "divide_own", lambda rep, w, blocks: rep.full_v())
+        with pytest.raises(divisors.LasVegasExhausted):
+            ja.flip(rep, e, ja.RandomStream("law"))
+        monkeypatch.setattr(curverep, "divide_own", lambda rep, w, blocks: linalg.Subspace(
+            rep.field, rep.n, linalg.zeros(rep.field, rep.n, 0)))
+        with pytest.raises(curverep.DegreeLawViolation, match="flip.*quotient has degree"):
+            ja.flip(rep, e, ja.RandomStream("law"))
+
+
+def test_deflation_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch):
+    # deflate judges by the blocks' rank alone: a rank of dim V, as the zero
+    # quotient would have, breaks the degree law
+    d = _bridged(bundle_g2, model_g2, "law", 0)
+    monkeypatch.setattr(curverep, "own_rank", lambda rep, w, blocks: w.dim)
+    with pytest.raises(curverep.DegreeLawViolation, match="deflation"):
+        ja.deflate(bundle_g2.rep_a, d, ja.RandomStream("law"))
 
 
 _FLIP_CASES = {}
@@ -177,8 +190,9 @@ _FLIP_CASES = {}
 
 def _flip_case(p, sigma_size, form="a"):
     """A genus-2 curve over F_p in table form with the given |Sigma|, or in
-    point-value form ("b0"), and divisors of several degrees: D_0, 2*D_0 and
-    a walk of flips at random sections."""
+    point-value form ("b0"), and divisors of several degrees: D_0, 2*D_0, a
+    walk of flips at random sections, and last a divisor at the comfort
+    floor, deg 2g-1, whose flip has degree Delta-2g+1."""
     key = p, sigma_size, form
     if key not in _FLIP_CASES:
         bundle = ja.gen_hyperelliptic(2, p, rng=ja.RandomStream(f"fused-{p}"))
@@ -187,19 +201,28 @@ def _flip_case(p, sigma_size, form="a"):
             rep = bundle.rep_b0
             model = bundle.large_model(ja.RandomStream(f"fused-model-{p}"), tag="b0",
                                        compute_defl_v=False)
-            pool = [model.W_D0, model.W_2D0]
+
+            def own(d):
+                return d
         else:
             field = ja.make_prime_field(p, sigma_size=sigma_size)
             rep = ja.RepA(field, bundle.g, bundle.Delta, bundle.rep_a.tables)
             model = bundle.large_model(ja.RandomStream(f"fused-model-{p}"),
                                        compute_defl_v=False)
-            pool = [ja.divisor_from_space(rep, linalg.Subspace(field, rep.n, d.space.basis))
-                    for d in (model.W_D0, model.W_2D0)]
+
+            def own(d):
+                return ja.divisor_from_space(rep, linalg.Subspace(field, rep.n, d.space.basis))
+        pool = [own(d) for d in (model.W_D0, model.W_2D0)]
         rng = ja.RandomStream(f"fused-walk-{p}-{sigma_size}")
         for i in range(4):
             s = divisors.sigma_random_element(rep.field, pool[-1].space, rng.split(f"s{i}"))
             if np.count_nonzero(s):
                 pool.append(ja.flip(rep, pool[-1], rng.split(f"f{i}"), s=s))
+        # a Mumford pair padded at infinity; over F_2, where the bridge
+        # draws no pairs, (2g-1)*infinity
+        m = (ja.random_mumford(bundle.curve, ja.RandomStream(f"fused-floor-{p}")) if p != 2
+             else ja.neutral())
+        pool.append(own(ja.semireduced_space(model, m.u, m.v, 2 * bundle.g - 1)))
         _FLIP_CASES[key] = rep, pool
     return _FLIP_CASES[key]
 
@@ -287,12 +310,13 @@ def test_fused_flip_verdict_matches_is_igs(data):
 @given(st.data())
 def test_headed_deflation_verdict_matches_is_igs(data):
     # deflate D at W_D's first column, or D~ = the flip of x at s, x's first
-    # column, at s (s lies in W_D~); h = 2 at |Sigma| = 1009, h > 2 at
-    # |Sigma| = 2 (over F_1009 and F_2)
+    # column, at s (s lies in W_D~, which lies in deflate's range unless x
+    # is at the floor); h = 2 at |Sigma| = 1009, h > 2 at |Sigma| = 2 (over
+    # F_1009 and F_2)
     p, sigma_size = data.draw(st.sampled_from([(1009, 1009), (1009, 2), (2, 2)]))
     rep, pool = _flip_case(p, sigma_size)
     x, y = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
-    if data.draw(st.booleans()):
+    if x.degree >= 2 * rep.g and data.draw(st.booleans()):
         s = x.space.basis[:, 0].copy()
         e = ja.flip(rep, x, ja.RandomStream("headed-flip"), s=s)
         head = s
@@ -331,7 +355,9 @@ def test_division_degree_verdict_matches_is_igs(data):
     small = [d for d in pool if 2 * d.degree < rep.Delta]
     large = [d for d in pool if 2 * d.degree > rep.Delta]
     if data.draw(st.booleans()):
-        x, y = data.draw(st.sampled_from(small)), data.draw(st.sampled_from(small))
+        # D~ is divided by, so x lies above the floor
+        x = data.draw(st.sampled_from([d for d in small if d.degree >= 2 * rep.g]))
+        y = data.draw(st.sampled_from(small))
         s = rep.head(x.space)
         d, w = ja.flip(rep, x, ja.RandomStream("division-flip"), s=s), y.space
     else:

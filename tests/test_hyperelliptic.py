@@ -164,6 +164,13 @@ def _square_factor(doc):
     doc["curve"]["f"] = [0, 0, 0, 1]  # x^3
 
 
+def _false_coordinate(doc):
+    # a root x of f gives the curve point (x, 0); its 0 written as false
+    p, f = doc["p"], doc["curve"]["f"]
+    x = next(x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0)
+    doc["points"][0] = [x, False]
+
+
 TAMPERED = [
     (lambda doc: doc["points"].pop(), ja.MalformedFile, "evaluation points"),
     (_off_curve, ja.MalformedFile, "not on the curve"),
@@ -175,6 +182,13 @@ TAMPERED = [
     (lambda doc: doc.update(version=99), ja.VersionMismatch, "jacarith gen"),
     (lambda doc: doc.update(rep="zzz"), ja.MalformedFile, "representation tag"),
     (lambda doc: doc.update(points=None), ja.MalformedFile, "rep b0"),
+    # JSON true/false load as Python ints: "g": true would read this genus-1
+    # file as genus True
+    (lambda doc: doc.update(g=True), ja.MalformedFile, "g must be an integer"),
+    (lambda doc: doc.update(p=True), ja.MalformedFile, "p must be an integer"),
+    (lambda doc: doc.update(Delta=float(doc["Delta"])), ja.MalformedFile, "Delta must be"),
+    (lambda doc: doc.update(d=str(doc["d"])), ja.MalformedFile, "d must be an integer"),
+    (_false_coordinate, ja.MalformedFile, "outside the integers"),
 ]
 
 

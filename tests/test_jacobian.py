@@ -36,6 +36,19 @@ def test_precomp_rejections(bundle_g2):
         ja.make_large_model(rep, bad, rng)
 
 
+def test_defl_v_is_the_one_found_at_build(bundle_g2):
+    # a model built without a generating set for V has none to give, even
+    # when its precomputation carries the cubic tables
+    rng = ja.RandomStream("no-defl-v")
+    model = bundle_g2.large_model(rng, compute_defl_v=False)
+    with pytest.raises(ja.InconsistentPrecomp):
+        model.defl_v
+    rep, pre = bundle_g2.precomp("a", rng)
+    model = ja.make_large_model(rep, pre, rng, compute_defl_v=False)
+    with pytest.raises(ja.InconsistentPrecomp):
+        model.defl_v
+
+
 def test_zero_point_laws(model_g2):
     rng = ja.RandomStream("zero")
     for tag in (ja.SMALL, ja.LARGE):

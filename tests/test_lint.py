@@ -13,6 +13,8 @@
   heads brief forms and flips is chosen by ``rep.head`` alone.
 * No module but ``linalg`` forms a matrix product (``.dot``, ``np.dot``,
   ``tensordot`` or ``@``): the product arithmetic is chosen in one place.
+* ``_LOOP_CAP`` is read in one function of its module only: every Las Vegas
+  retry runs through one loop.
 """
 
 import ast
@@ -26,6 +28,7 @@ ENGINE = {path.stem for path in MODULES}
 ALLOWED = {("curverep", "_apply_mul")}
 HEAD_POLICY = {"divisors", "jacobian"}  # modules that take heads from rep.head
 PRODUCTS = {"dot", "tensordot"}  # matrix products, made in linalg alone
+CAP = "_LOOP_CAP"  # the retry cap, read by the one retry loop
 
 
 def _private(name: str) -> bool:
@@ -60,10 +63,19 @@ def _matrix_product(node) -> str | None:
     return None
 
 
+def _cap_readers(tree) -> list:
+    """The module-level statements (by name) that read ``_LOOP_CAP``."""
+    return [getattr(node, "name", f"line {node.lineno}") for node in tree.body
+            if any(isinstance(n, ast.Name) and n.id == CAP and isinstance(n.ctx, ast.Load)
+                   for n in ast.walk(node))]
+
+
 def violations(path: Path) -> list:
     tree = ast.parse(path.read_text(), filename=str(path))
     aliases = _module_aliases(tree)
     found = []
+    if len(readers := _cap_readers(tree)) > 1:
+        found.append(f"{path.name}:0: {CAP} read in {', '.join(readers)}")
     for node in ast.walk(tree):
         where = f"{path.name}:{getattr(node, 'lineno', 0)}"
         if isinstance(node, ast.Assert):
@@ -100,11 +112,14 @@ def test_rules_catch_what_they_describe(tmp_path):
                    "m = a.dot(b) % p\n"
                    "m = np.tensordot(s, tables, axes=(0, 0)) % p\n"
                    "m = a @ b\n"
-                   "rep.mat_mul(a, b)\n")
+                   "rep.mat_mul(a, b)\n"
+                   "_LOOP_CAP = 200\n"
+                   "def retry():\n    return range(_LOOP_CAP)\n"
+                   "def own_loop():\n    return range(1, _LOOP_CAP + 1)\n")
     assert [v.split(": ", 1)[1] for v in violations(bad)] == [
-        "from .linalg import _eliminate", "assert statement", "@ product outside linalg",
-        "jacobian._space_bytes", "cr._division_stack", "dot product outside linalg",
-        "tensordot product outside linalg"]
+        "_LOOP_CAP read in retry, own_loop", "from .linalg import _eliminate",
+        "assert statement", "@ product outside linalg", "jacobian._space_bytes",
+        "cr._division_stack", "dot product outside linalg", "tensordot product outside linalg"]
     (tmp_path / "linalg.py").write_text("m = a.dot(b) % p\nm = a @ b\n")
     assert violations(tmp_path / "linalg.py") == []
 
