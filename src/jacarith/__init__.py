@@ -14,7 +14,7 @@ from .linalg import (DimensionMismatch, Subspace, column_echelon, kernel_basis,
 from .curverep import (AllZeroSections, RepA, RepB0, ZeroSection, divide,
                        mult_matrix, product, simple_mul, sum_of_products,
                        validate_rep)
-from .divisors import (CubicData, DivisorBrief, DivisorFull, EmptySpace, IgsV,
+from .divisors import (DivisorBrief, DivisorFull, EmptySpace, IgsV,
                        PreconditionCodim, PreconditionDegree, RetryStats,
                        deflate, divisor_from_space, flip, igs_for_v,
                        igs_size_h, inflate, is_igs, membership_test,

@@ -177,15 +177,15 @@ def mumford_to_point(model: LargeModel, m: MumfordDivisor,
 def semireduced_space(model: LargeModel, u: tuple, v: tuple,
                       degree: int) -> divisors.DivisorFull:
     """W_D for D = (affine divisor of a semi-reduced pair) + padding at
-    infinity up to the given total degree.  Needs u | v^2 - f and
+    infinity up to the given total degree.  Needs u | v^2 + h v - f and
     deg u <= degree <= Delta - 2g."""
     rep = model.rep
     info = rep.bridge_info
     curve = info.curve
     p = curve.p
     u, v = poly.trim(u), poly.trim(v)
-    if poly.mod(poly.sub(poly.mul(v, v, p), curve.f, p), u, p):
-        raise CurveMismatch("pair does not satisfy u | v^2 - f on this curve")
+    if poly.mod(poly.sub(poly.mul(poly.add(v, curve.h, p), v, p), curve.f, p), u, p):
+        raise CurveMismatch("pair does not satisfy u | v^2 + h v - f on this curve")
     deg_u = poly.deg(u)
     if not deg_u <= degree <= rep.Delta - 2 * curve.g:
         raise CurveMismatch(f"total degree {degree} out of range for deg u = {deg_u}")

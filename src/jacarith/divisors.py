@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import curverep, linalg
-from .linalg import DimensionMismatch, Subspace
+from .linalg import Subspace
 
 _LOOP_CAP = 200  # failure probability per attempt is <= 1/2; this is unreachable
 
@@ -60,15 +60,6 @@ class IgsV:
     """A verified ideal generating set for the zero divisor (all of V)."""
 
     sections: tuple
-
-
-@dataclass
-class CubicData:
-    """Level-three data: the map V x V' -> V'' as delta tables of size
-    delta'' x delta', used only to verify generating sets for V itself."""
-
-    delta_pp: int
-    star_tables: np.ndarray  # (delta, delta'', delta')
 
 
 @dataclass
@@ -236,35 +227,25 @@ def _own_section_loop(rep, d: DivisorFull, w: Subspace, rng,
     return _retry(what, stats, attempt)
 
 
-def star_mult_matrix(cubic: CubicData, field, s: np.ndarray) -> np.ndarray:
-    """Matrix of s * . from V'-coordinates to V''-coordinates."""
-    return linalg.combine(field, s, cubic.star_tables)
-
-
-def igs_for_v(rep, cubic: CubicData, rng, stats: RetryStats | None = None) -> IgsV:
-    """Verified generating set for the zero divisor (Las Vegas).
-
-    Verification needs the cubic level: the candidates generate V exactly
-    when their star-products with V' fill all of V''.  The cubic tables are
-    in table coordinates, so rep must be a form whose V has that ambient.
-    """
-    if rep.n != cubic.star_tables.shape[0]:
-        raise DimensionMismatch(
-            f"cubic tables take sections of length {cubic.star_tables.shape[0]},"
-            f" the representation has length {rep.n}")
+def igs_for_v(rep, star_matrix, rng, stats: RetryStats | None = None) -> IgsV:
+    """Verified generating set for the zero divisor (Las Vegas), judged by
+    ``verify_igs_v``.  ``star_matrix(s)`` is multiplication by s from V' to
+    V'', so rep is the table form.  Its one engine caller is
+    ``CurveBundle.precomp``, whose ``with_cubic`` means "find this set"."""
     h = igs_size_h(rep.Delta, 0, rep.field.sigma_size)
     full = rep.full_v()
 
     def attempt():
         sections = igs_candidate(rep, full, h, rng)
-        return IgsV(tuple(sections)) if verify_igs_v(rep, cubic, sections) else None
+        return IgsV(tuple(sections)) if verify_igs_v(rep, star_matrix, sections) else None
 
     return _retry("the search for a generating set of V", stats, attempt)
 
 
-def verify_igs_v(rep, cubic: CubicData, sections) -> bool:
-    stacked = np.hstack([star_mult_matrix(cubic, rep.field, s) for s in sections])
-    return linalg.matrix_rank(rep.field, stacked) == cubic.delta_pp
+def verify_igs_v(rep, star_matrix, sections) -> bool:
+    """Whether the sections' products with V' fill V'' (dim 3*Delta + 1 - g)."""
+    stacked = np.hstack([star_matrix(s) for s in sections])
+    return linalg.matrix_rank(rep.field, stacked) == 3 * rep.Delta + 1 - rep.g
 
 
 def inflate(rep, brief: DivisorBrief, defl_v: IgsV) -> DivisorFull:

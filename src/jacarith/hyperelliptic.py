@@ -4,10 +4,11 @@ Curves are in the odd-degree model y^2 + h(x) y = f(x) with f monic of
 degree 2g+1 (h = 0 in odd characteristic, h = 1 over F_2), so there is a
 single point at infinity and every space of sections with poles only at
 infinity has a monomial basis: x^i has pole order 2i there and x^j y has
-pole order 2j + 2g + 1, all distinct.  That makes the multiplication tables,
-the cubic-level tables, and the stored spaces for the large model exact and
-cheap: products of basis monomials reduce by the single relation
-y^2 = f - h y.
+pole order 2j + 2g + 1, all distinct.  That makes the multiplication tables
+and the stored spaces for the large model exact and cheap: products of basis
+monomials reduce by the single relation y^2 = f - h y.  The same relation
+gives multiplication by a section from V' to V'' (``CurveBundle.star_matrix``)
+without tables, for checking the generating set of V.
 
 The generated bundle exposes the curve only through table/value data; the
 function-field layer stays in this module (and in the Mumford oracle).
@@ -22,13 +23,13 @@ import numpy as np
 
 from . import curverep, divisors, linalg, poly
 from .curverep import RepA, RepB0, validate_rep
-from .divisors import CubicData
 from .field import PrimeField, RandomStream, make_prime_field, sqrt_mod
 from .jacobian import LargeModel, LargeModelPrecomp, make_large_model
-from .linalg import Subspace
+from .linalg import DimensionMismatch, Subspace
 
 BUNDLE_FORMAT = "curve-bundle"
 BUNDLE_VERSION = 2
+_BUNDLE_KEYS = {"format", "version", "p", "g", "Delta", "d", "rep", "curve", "points"}
 
 _SMOOTHNESS_RETRIES = 200
 
@@ -115,16 +116,13 @@ def _monomial_product(curve: HyperellipticCurve, m1, m2) -> list:
 
 
 def _build_tables(curve: HyperellipticCurve, field: PrimeField,
-                  left: list, right: list, out: list) -> np.ndarray:
-    """Tables[i][k][j] = coefficient of out[k] in left[i] * right[j]."""
-    index = {(a, e): k for k, (a, e, _) in enumerate(out)}
-    symmetric = left is right
+                  v: list, vp: list) -> np.ndarray:
+    """Tables[i][k][j] = coefficient of vp[k] in v[i] * v[j]."""
+    index = {(a, e): k for k, (a, e, _) in enumerate(vp)}
     cache: dict = {}
     ii, kk, jj, vv = [], [], [], []
-    for i, mi in enumerate(left):
-        for j, mj in enumerate(right):
-            if symmetric and j < i:
-                continue
+    for i, mi in enumerate(v):
+        for j, mj in enumerate(v[i:], i):
             key = (mi[0] + mj[0], mi[1] + mj[1])
             terms = cache.get(key)
             if terms is None:
@@ -132,17 +130,11 @@ def _build_tables(curve: HyperellipticCurve, field: PrimeField,
                          for a, e, c in _monomial_product(curve, mi, mj)]
                 cache[key] = terms
             for k, c in terms:
-                ii.append(i)
-                kk.append(k)
-                jj.append(j)
-                vv.append(c)
-                if symmetric and j > i:
-                    ii.append(j)
-                    kk.append(k)
-                    jj.append(i)
-                    vv.append(c)
-    tables = linalg.zeros(field, len(left) * len(out), len(right)).reshape(
-        len(left), len(out), len(right))
+                ii += (i, j)
+                kk += (k, k)
+                jj += (j, i)
+                vv += (c, c)
+    tables = linalg.zeros(field, len(v) * len(vp), len(v)).reshape(len(v), len(vp), len(v))
     tables[ii, kk, jj] = np.array(vv, dtype=linalg.dtype_for(field))
     return tables
 
@@ -163,7 +155,6 @@ class CurveBundle:
         self.v_monomials = v_monomials
         self.rep_b0 = rep_b0
         self.rep_tag = "a"
-        self._cubic: CubicData | None = None
 
     @property
     def g(self) -> int:
@@ -173,17 +164,34 @@ class CurveBundle:
     def p(self) -> int:
         return self.curve.p
 
-    def cubic(self) -> CubicData:
-        """Level-three tables, built on demand (large for big genus)."""
-        if self._cubic is None:
-            vp = basis_monomials(self.curve, 2 * self.Delta)
-            vpp = basis_monomials(self.curve, 3 * self.Delta)
-            delta_pp = 3 * self.Delta + 1 - self.g
-            if len(vpp) != delta_pp:
-                raise SingularCurve("cubic-level dimension mismatch")
-            star = _build_tables(self.curve, self.field, self.v_monomials, vp, vpp)
-            self._cubic = CubicData(delta_pp, star)
-        return self._cubic
+    def star_matrix(self, s: np.ndarray) -> np.ndarray:
+        """Multiplication by s in V (table coordinates), from V' to V'', as
+        the delta'' x delta' matrix over the monomials of both.
+
+        With s = A(x) + B(x) y and y^2 = f - h y, s * x^j = A x^j + B x^j y
+        and s * x^j y = B f x^j + (A - h B) x^j y, so each column holds
+        shifted copies of A, B, B*f and A - h*B.
+        """
+        if len(s) != len(self.v_monomials):
+            raise DimensionMismatch(
+                f"sections in table coordinates have length {len(self.v_monomials)},"
+                f" got {len(s)}")
+        p, curve = self.p, self.curve
+        coeffs = [[0] * (self.Delta // 2 + 1) for _ in range(2)]
+        for (a, e, _), c in zip(self.v_monomials, s):
+            coeffs[e][a] = int(c) % p
+        a_poly, b_poly = (poly.trim(c) for c in coeffs)
+        parts = ((a_poly, b_poly),  # (x-part, y-part) of s * x^j
+                 (poly.mul(b_poly, curve.f, p),
+                  poly.sub(a_poly, poly.mul(curve.h, b_poly, p), p)))  # of s * x^j y
+        vpp = basis_monomials(curve, 3 * self.Delta)
+        rows = ([k for k, m in enumerate(vpp) if m[1] == 0],
+                [k for k, m in enumerate(vpp) if m[1] == 1])  # ascending in x-degree
+        out = linalg.zeros(self.field, len(vpp), self.rep_a.delta_prime)
+        for col, (j, e, _) in enumerate(basis_monomials(curve, 2 * self.Delta)):
+            for part, at in zip(parts[e], rows):
+                out[at[j:j + len(part)], col] = part
+        return out
 
     def _monomial_space(self, pole_bound: int) -> Subspace:
         """Span of the V-monomials of pole order <= pole_bound, in table
@@ -200,29 +208,32 @@ class CurveBundle:
 
         The stored spaces W_D0, W_2D0 and the section s0 = 1 are spans of
         monomials, mapped into the chosen form by ``rep.from_table_space``.
+        ``with_cubic`` means "find V's generating set" (the name is older
+        than ``star_matrix``; perfbench's sweep passes it): the set is drawn
+        on ``rep_a`` from ``rng.split("igs-v")`` and mapped into the form.
         """
         if self.d is None:
             raise ValueError("this bundle has no large-model degree d")
-        cubic = sections = None
         if tag == "a":
             rep = self.rep_a
-            cubic = self.cubic() if with_cubic else None
         elif tag == "b0":
             if self.rep_b0 is None:
                 raise ValueError("bundle has no point-value representation; run gen_rep_b0")
             rep = self.rep_b0
-            if with_cubic:
-                igs_rng = rng.split("igs-v") if rng else RandomStream("igs-v")
-                igs = divisors.igs_for_v(self.rep_a, self.cubic(), igs_rng)
-                sections = tuple(self.to_b0_vector(s) for s in igs.sections)
         else:
             raise ValueError(f"unknown representation tag {tag!r}")
+        sections = None
+        if with_cubic:
+            igs_rng = rng.split("igs-v") if rng else RandomStream("igs-v")
+            sections = divisors.igs_for_v(self.rep_a, self.star_matrix, igs_rng).sections
+            if tag == "b0":
+                sections = tuple(self.to_b0_vector(s) for s in sections)
         pre = LargeModelPrecomp(
             d=self.d,
             w_d0=rep.from_table_space(self._monomial_space(self.Delta - self.d)),
             w_2d0=rep.from_table_space(self._monomial_space(self.Delta - 2 * self.d)),
             s0=rep.from_table_space(self._monomial_space(0)).basis[:, 0],
-            cubic=cubic, defl_v_sections=sections)
+            defl_v_sections=sections)
         return rep, pre
 
     def large_model(self, rng: RandomStream, tag: str = "a",
@@ -253,7 +264,7 @@ def build_rep_a(curve: HyperellipticCurve, field: PrimeField, Delta: int) -> tup
     g = curve.g
     if len(v) != Delta + 1 - g or len(vp) != 2 * Delta + 1 - g:
         raise SingularCurve("monomial basis has unexpected dimension")
-    tables = _build_tables(curve, field, v, v, vp)
+    tables = _build_tables(curve, field, v, vp)
     rep = RepA(field, g, Delta, tables,
                bridge_info=BridgeInfo(curve, tuple(v)))
     report = validate_rep(rep)
@@ -456,6 +467,8 @@ def load_bundle(path: str) -> CurveBundle:
             raise VersionMismatch(
                 f"unsupported bundle version {doc.get('version')} (expected"
                 f" {BUNDLE_VERSION}); regenerate the file with `jacarith gen`")
+        if unknown := sorted(set(doc) - _BUNDLE_KEYS):
+            raise MalformedFile(f"unknown fields {unknown}")
         p, g, Delta, d = doc["p"], doc["g"], doc["Delta"], doc["d"]
         for name, value in (("p", p), ("g", g), ("Delta", Delta), ("d", d)):
             if type(value) is not int and not (name == "d" and value is None):  # no bools
@@ -466,6 +479,10 @@ def load_bundle(path: str) -> CurveBundle:
             raise MalformedFile("a point-value (rep b0) bundle needs its evaluation points")
         if d is not None and Delta != 3 * d:
             raise MalformedFile(f"Delta = {Delta} is not 3d for d = {d}")
+        for name in ("f", "h"):
+            coeffs = doc["curve"][name]
+            if type(coeffs) is not list or any(type(c) is not int for c in coeffs):  # no bools
+                raise MalformedFile(f"curve.{name} must be a list of integers, got {coeffs!r}")
         field = make_prime_field(p)
         curve = make_curve(g, p, doc["curve"]["f"], doc["curve"]["h"] or None)
         rep, v = build_rep_a(curve, field, Delta)

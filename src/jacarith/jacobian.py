@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curverep, divisors, linalg
-from .divisors import CubicData, DivisorBrief, DivisorFull, IgsV, RetryStats
+from .divisors import DivisorBrief, DivisorFull, IgsV, RetryStats
 from .field import RandomStream, stream_from_bytes
 from .linalg import Subspace
 
@@ -54,7 +54,6 @@ class LargeModelPrecomp:
     w_d0: Subspace
     w_2d0: Subspace
     s0: np.ndarray
-    cubic: CubicData | None = None
     defl_v_sections: tuple | None = None  # pre-verified generating set for V
 
 
@@ -80,7 +79,7 @@ class LargeModel:
     @property
     def defl_v(self) -> IgsV:
         """Generating set for V, needed by membership tests and inflation:
-        the one ``make_large_model`` was given or found."""
+        the one ``make_large_model`` was given and kept."""
         if self._defl_v is None:
             raise InconsistentPrecomp("this model was built without a generating set for V")
         return self._defl_v
@@ -113,7 +112,8 @@ class LargeModel:
 
 def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
                      compute_defl_v: bool = True) -> LargeModel:
-    """Check the generator data and run the one-time precomputations."""
+    """Check the generator data and run the one-time precomputations;
+    ``compute_defl_v`` keeps the precomputation's generating set for V."""
     d = precomp.d
     if d < 2:
         raise InconsistentPrecomp(f"base degree d must be at least 2, got {d}")
@@ -137,11 +137,8 @@ def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
     defl_d0 = divisors.deflate(rep, w_d0, rng.split("defl-d0"), stats)
     # headed by s0, so that addflip_small's shortcut divides by its own section
     defl_2d0 = divisors.deflate(rep, w_2d0, rng.split("defl-2d0"), stats, s=s0)
-    defl_v = None
-    if precomp.defl_v_sections is not None:
-        defl_v = IgsV(tuple(precomp.defl_v_sections))
-    elif compute_defl_v and precomp.cubic is not None:
-        defl_v = divisors.igs_for_v(rep, precomp.cubic, rng.split("defl-v"), stats)
+    keep = compute_defl_v and precomp.defl_v_sections is not None
+    defl_v = IgsV(tuple(precomp.defl_v_sections)) if keep else None
     return LargeModel(rep, d, w_d0, w_2d0, s0, defl_d0, defl_2d0, defl_v, rng.seed, stats)
 
 

@@ -169,6 +169,21 @@ def test_oracle_requires_odd_characteristic():
         ja.random_mumford(b2.curve, ja.RandomStream(0))
 
 
+def test_semireduced_space_tests_the_curve_equation_over_f2():
+    # on y^2 + y = x^5 + x^4 + x^3, (0, 1) is a curve point and (1, 1) is
+    # not, though v^2 - f vanishes at both: the test is u | v^2 + h v - f
+    bundle = ja.gen_hyperelliptic(2, 2, rng=ja.RandomStream("c2"))
+    assert bundle.curve.f == (0, 0, 0, 1, 1, 1) and bundle.curve.h == (1,)
+    model = bundle.large_model(ja.RandomStream("c2-model"), compute_defl_v=False)
+    out = ja.semireduced_space(model, (0, 1), (1,), 3)
+    assert out.degree == 3
+    # every section of W_D vanishes at (0, 1), where x^a y^e is 1 for a = 0
+    at_point = [j for j, (a, _, _) in enumerate(bundle.v_monomials) if a == 0]
+    assert not (out.space.basis[at_point].sum(axis=0) % 2).any()
+    with pytest.raises(ja.CurveMismatch, match=r"u \| v\^2 \+ h v - f"):
+        ja.semireduced_space(model, (1, 1), (1,), 3)
+
+
 def test_cantor_add_off_curve_pair_is_a_typed_error(bundle_g1):
     # (x - 1, c) with c^2 != f(1) looks reduced but is not on the curve; its
     # composition with a true class reaches the reduction step, whose exact

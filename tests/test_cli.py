@@ -70,6 +70,17 @@ def test_membership_suite_small_run(tmp_path, capsys):
     assert {"genuine-spaces-accepted", "perturbed-spaces-rejected"} <= names
 
 
+def test_membership_suite_over_f2(tmp_path, capsys):
+    # over F_2, h = 1 enters V's generating set through A - h*B
+    bundle = tmp_path / "c2.json"
+    assert main(["gen", "--genus", "2", "--prime", "2", "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    code, rows, _ = _run(capsys, "verify", "--bundle", str(bundle),
+                         "--suite", "membership", "--trials", "4", "--seed", "1")
+    assert code == 0
+    assert {r["case"] for r in rows} >= {"genuine-spaces-accepted", "perturbed-spaces-rejected"}
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "igs-stats", "--trials", "0"),
     ("verify", "--suite", "oracle", "--trials", "-3"),

@@ -129,24 +129,14 @@ def test_inflate_trivia(bundle_g2, model_g2):
 
 def test_igs_for_v(bundle_g2):
     rep = bundle_g2.rep_a
-    cubic = bundle_g2.cubic()
+    star = bundle_g2.star_matrix
     stats = divisors.RetryStats()
-    igs = ja.igs_for_v(rep, cubic, ja.RandomStream("igsv"), stats)
-    assert divisors.verify_igs_v(rep, cubic, igs.sections)
+    igs = ja.igs_for_v(rep, star, ja.RandomStream("igsv"), stats)
+    assert divisors.verify_igs_v(rep, star, igs.sections)
     t1 = rep.full_v().basis[:, 0]
-    assert not divisors.verify_igs_v(rep, cubic, (t1,))
+    assert not divisors.verify_igs_v(rep, star, (t1,))
     extra = divisors.sigma_random_element(rep.field, rep.full_v(), ja.RandomStream("x"))
-    assert divisors.verify_igs_v(rep, cubic, igs.sections + (extra,))
-
-
-def test_igs_for_v_rejects_sections_the_cubic_tables_cannot_take():
-    # the cubic tables are in table coordinates; point-value sections have
-    # length N = 2*Delta + 1, not delta
-    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(1, 1009, rng=ja.RandomStream("igsv-b0")),
-                           ja.RandomStream("igsv-b0-pts"))
-    with pytest.raises(ja.DimensionMismatch) as err:
-        ja.igs_for_v(bundle.rep_b0, bundle.cubic(), ja.RandomStream("igsv"))
-    assert isinstance(err.value, ValueError)
+    assert divisors.verify_igs_v(rep, star, igs.sections + (extra,))
 
 
 def test_flip_degree_and_dimension_laws(bundle_g2, model_g2):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,15 @@ TAMPERED = [
     (lambda doc: doc.update(Delta=float(doc["Delta"])), ja.MalformedFile, "Delta must be"),
     (lambda doc: doc.update(d=str(doc["d"])), ja.MalformedFile, "d must be an integer"),
     (_false_coordinate, ja.MalformedFile, "outside the integers"),
+    # the same hole in the curve: true read as 1, [false] as h = 0
+    (lambda doc: doc["curve"]["f"].__setitem__(-1, True), ja.MalformedFile,
+     "curve.f must be a list of integers"),
+    (lambda doc: doc["curve"].update(h=[False]), ja.MalformedFile,
+     "curve.h must be a list of integers"),
+    (lambda doc: doc["curve"].update(h=[0.0]), ja.MalformedFile,
+     "curve.h must be a list of integers"),
+    # a stale version-1 field is refused, not ignored
+    (lambda doc: doc.update(tables=[]), ja.MalformedFile, r"unknown fields \['tables'\]"),
 ]
 
 
@@ -219,26 +229,75 @@ def test_loaded_bundle_runs_group_law(tmp_path, bundle_g1):
     assert ja.oracle_compare(model, got, ja.cantor_negate(back.curve, m))
 
 
-def test_cubic_dimensions(bundle_g1):
-    cubic = bundle_g1.cubic()
-    assert cubic.delta_pp == 3 * bundle_g1.Delta + 1 - bundle_g1.g
-    assert cubic.star_tables.shape == (bundle_g1.rep_a.delta, cubic.delta_pp,
-                                       bundle_g1.rep_a.delta_prime)
+def _reference_star(bundle, s):
+    """s*V' over the V''-monomials, summed term by term from the monomial
+    products."""
+    p = bundle.p
+    vp = hyp.basis_monomials(bundle.curve, 2 * bundle.Delta)
+    vpp = hyp.basis_monomials(bundle.curve, 3 * bundle.Delta)
+    row = {m[:2]: k for k, m in enumerate(vpp)}
+    out = [[0] * len(vp) for _ in vpp]
+    for mi, si in zip(bundle.v_monomials, s):
+        for j, mj in enumerate(vp):
+            for a, e, c in hyp._monomial_product(bundle.curve, mi, mj):
+                out[row[a, e]][j] = (out[row[a, e]][j] + int(si) * c) % p
+    return out
 
 
-def test_star_tables_associate(bundle_g1):
+@pytest.mark.parametrize("g, p", [(1, 1009), (2, 2), (3, 2), (2, 2**31 - 1)])
+def test_star_matrix_matches_the_monomial_products(g, p):
+    bundle = ja.gen_hyperelliptic(g, p, rng=ja.RandomStream(f"star-{g}-{p}"))
+    rep = bundle.rep_a
+    rng = ja.RandomStream("star")
+    units = list(rep.full_v().basis.T)
+    drawn = [np.array([rng.randrange(p) for _ in range(rep.n)], dtype=rep.tables.dtype)
+             for _ in range(4)]
+    for s in [0 * units[0]] + units + drawn:
+        got = bundle.star_matrix(s)
+        assert got.dtype == rep.tables.dtype
+        assert got.shape == (3 * bundle.Delta + 1 - g, rep.delta_prime)
+        assert got.tolist() == _reference_star(bundle, s)
+
+
+def test_star_matrix_associates(bundle_g1):
     # s * (t . u) must equal t * (s . u): both are the cubic product s t u
-    from jacarith.divisors import star_mult_matrix
     rep = bundle_g1.rep_a
-    cubic = bundle_g1.cubic()
     rng = ja.RandomStream("assoc")
     p = rep.field.p
     for _ in range(20):
         s, t, u = (np.array([rng.randrange(p) for _ in range(rep.n)], dtype=np.int64)
                    for _ in range(3))
-        lhs = star_mult_matrix(cubic, rep.field, s).dot(ja.product(rep, t, u)) % p
-        rhs = star_mult_matrix(cubic, rep.field, t).dot(ja.product(rep, s, u)) % p
+        lhs = linalg.mat_mul(rep.field, bundle_g1.star_matrix(s), ja.product(rep, t, u))
+        rhs = linalg.mat_mul(rep.field, bundle_g1.star_matrix(t), ja.product(rep, s, u))
         assert np.array_equal(lhs, rhs)
+
+
+def test_star_matrix_rejects_point_value_sections():
+    # the product is in table coordinates; point-value sections have
+    # length N = 2*Delta + 1, not delta
+    bundle = ja.gen_rep_b0(ja.gen_hyperelliptic(1, 1009, rng=ja.RandomStream("igsv-b0")),
+                           ja.RandomStream("igsv-b0-pts"))
+    s = bundle.rep_b0.full_v().basis[:, 0]
+    with pytest.raises(ja.DimensionMismatch) as err:
+        bundle.star_matrix(s)
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(ja.DimensionMismatch):
+        ja.igs_for_v(bundle.rep_b0, bundle.star_matrix, ja.RandomStream("igsv"))
+
+
+@pytest.mark.parametrize("tag", ["a", "b0"])
+def test_precomp_memory_stays_small(tag):
+    # finding V's generating set builds no delta x delta'' x delta' array:
+    # at g = 12 such tables alone would take 12.7 MiB
+    bundle = ja.gen_hyperelliptic(12, 1009, rng=ja.RandomStream("mem-g12"))
+    ja.gen_rep_b0(bundle, ja.RandomStream("mem-g12-pts"))
+    tracemalloc.start()
+    try:
+        bundle.precomp(tag, ja.RandomStream("mem"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_monomial_precomp_spaces(bundle_g2, model_g2):

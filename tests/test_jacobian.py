@@ -38,12 +38,13 @@ def test_precomp_rejections(bundle_g2):
 
 def test_defl_v_is_the_one_found_at_build(bundle_g2):
     # a model built without a generating set for V has none to give, even
-    # when its precomputation carries the cubic tables
+    # when its precomputation carries one
     rng = ja.RandomStream("no-defl-v")
     model = bundle_g2.large_model(rng, compute_defl_v=False)
     with pytest.raises(ja.InconsistentPrecomp):
         model.defl_v
     rep, pre = bundle_g2.precomp("a", rng)
+    assert pre.defl_v_sections is not None
     model = ja.make_large_model(rep, pre, rng, compute_defl_v=False)
     with pytest.raises(ja.InconsistentPrecomp):
         model.defl_v
