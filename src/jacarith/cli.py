@@ -116,6 +116,12 @@ def _model_for(bundle: CurveBundle, args, rng: RandomStream):
     return bundle.large_model(rng.split("model"), tag=tag_rep)
 
 
+def _las_vegas_case(report: Reporter, model) -> None:
+    """Every Las Vegas call of the model, deflations and flips alike."""
+    report.case("las-vegas-retries", True, las_vegas_calls=model.stats.calls,
+                mean_attempts=round(model.stats.mean_attempts, 3))
+
+
 def suite_axioms(args, rng: RandomStream) -> Reporter:
     report = Reporter("axioms", rng.seed)
     bundle = _load(args)
@@ -150,9 +156,7 @@ def suite_axioms(args, rng: RandomStream) -> Reporter:
         if not jacobian.equal_class(model, lhs, rhs):
             bad += 1
     report.case("associativity", bad == 0, trials=trials, failures=bad)
-    report.case("las-vegas-retries", True,
-                deflations=model.stats.calls,
-                mean_attempts=round(model.stats.mean_attempts, 3))
+    _las_vegas_case(report, model)
     return report
 
 
@@ -190,8 +194,7 @@ def suite_oracle(args, rng: RandomStream) -> Reporter:
             model, got, cantor.cantor_scalar(curve, n, m1))
     for name, bad in fails.items():
         report.case(name, bad == 0, trials=trials, failures=bad)
-    report.case("las-vegas-retries", True, deflations=model.stats.calls,
-                mean_attempts=round(model.stats.mean_attempts, 3))
+    _las_vegas_case(report, model)
     return report
 
 
@@ -252,8 +255,7 @@ def suite_membership(args, rng: RandomStream) -> Reporter:
             false_pos += 1
     report.case("perturbed-spaces-rejected", false_pos == 0, trials=trials,
                 failures=false_pos)
-    report.case("las-vegas-retries", True, deflations=model.stats.calls,
-                mean_attempts=round(model.stats.mean_attempts, 3))
+    _las_vegas_case(report, model)
     return report
 
 

@@ -23,14 +23,15 @@ protocol alone, whichever encoding it runs on:
   whose ``block(t)`` is K*(t*W);
 * ``add_checks(report)``: the form's own ``validate_rep`` checks.
 
-Division solves for coordinates over E in both forms: for each section the
-constraint block is K_W' * (s*E), a matrix with delta columns, and its
-kernel C comes back as E*C.  No re-echelon is needed, because E*C is already
-canonical: if E has pivot rows r_1 < ... < r_delta and C pivot rows
-c_1 < ... < c_d, column k of E*C starts with a 1 at row r_{c_k}, and row
-r_{c_j} of E*C is row c_j of C, i.e. the unit vector e_j.  In ``RepA`` E is
-the identity and E*C is C.  The argument holds for any canonical E, so it
-also covers W*C for any canonical subspace W.
+Division solves for coordinates over E in both forms: K_W' is read off the
+canonical W' with no elimination (``linalg.constraint_rows``), the block of
+each section s is K_W' * (s*E), a matrix with delta columns, and the kernel
+C of the stacked blocks comes back as E*C.  No re-echelon is needed, because
+E*C is already canonical: if E has pivot rows r_1 < ... < r_delta and C
+pivot rows c_1 < ... < c_d, column k of E*C starts with a 1 at row r_{c_k},
+and row r_{c_j} of E*C is row c_j of C, i.e. the unit vector e_j.  In
+``RepA`` E is the identity and E*C is C.  The argument holds for any
+canonical E, so it also covers W*C for any canonical subspace W.
 
 Own-section division.  When the generating set (s, t_2, ..., t_h) starts
 with the dividend's own section s != 0, then
@@ -56,12 +57,10 @@ entry (f, j) of K*(t*W) is W[f, j]*(t_f - s_f*t_{P_j}/s_{P_j}), and a block
 is |F| x dim W elementwise products, with no matrix product.  The formula
 needs s nonzero on P, which is why the point-value head is the sum
 section: a flip's s is 1 on the pivot rows of W_D.  On other rows of P (V's
-pivot rows outside W_D's, for instance) s can still vanish.  Then the rows
-s_f*(e_f - W[f, :]) with s_f != 0 are first combined to vanish on those
-zeros Z_P (one elimination over |Z_P| columns), divided by s, and unit rows
-at the zeros of s are added; that K keeps its rows, and its blocks are
-products as in table form.  Quotients and verdicts depend only on the row
-space of K, so every form gives the same quotients.
+pivot rows outside W_D's, for instance) s can still vanish; then K is the
+left kernel of s*W by elimination, as in table form, and its blocks are
+products.  Quotients and verdicts depend only on the row space of K, so
+every form gives the same quotients.
 
 The own-section users: ``divisors``' one candidate loop, which judges
 every candidate by r, in every deflation (the rank alone, ``own_rank``, on
@@ -71,9 +70,9 @@ head or a given section of W_D) and the middle division of
 (``divisors.divide_by``, by a brief form headed by the dividend's section),
 where r is dim W less the quotient's dimension; the division by the stored
 brief form of 2*D_0, headed by s0; and ``equal_class``, whose quotient is
-nonzero exactly when ``own_rank`` < dim W.
-``divide_raw`` remains only for ``divide`` (``inflate``,
-``membership_test``), whose dividend is not a product s*W.
+nonzero exactly when ``own_rank`` < dim W.  ``divide`` (``inflate``,
+``membership_test``), whose dividend is not a product s*W, hands its
+blocks K_W' * (s_i*E) to ``divide_own`` with W = V.
 
 Everything downstream (divisor representations, group operations) is built
 from four primitives on these encodings: single products, simple
@@ -184,8 +183,7 @@ class RepA:
 
     def own_kernel(self, s: np.ndarray, w: Subspace) -> OwnKernel:
         """K, the left kernel of M_s * W, as rows found by elimination."""
-        return _KernelRows(self, w, linalg.left_kernel_rows(
-            self.field, _apply_mul(self, s, w.basis)))
+        return _eliminated_kernel(self, s, w)
 
     def add_checks(self, report: ValidationReport) -> None:
         sym = bool(np.array_equal(self.tables, self.tables.transpose(2, 1, 0)))
@@ -251,25 +249,15 @@ class RepB0:
     def own_kernel(self, s: np.ndarray, w: Subspace) -> OwnKernel:
         """K, the left kernel of s*W, read off W's canonical basis (module
         docstring): row f is e_f - s_f*W[f, :]*diag(s_P)^{-1} at the pivot
-        rows P, and K is never built; its blocks are elementwise.  Only where
-        s vanishes on Z_P, a part of P, are its rows built, by one
-        elimination over |Z_P| columns, and its blocks are products."""
-        p = self.field.p
+        rows P, and K is never built; its blocks are elementwise.  Where s
+        vanishes on P, K comes by elimination as in table form."""
         pivots = w.pivot_rows
+        s_pivots = s[pivots]
+        if not s_pivots.all():
+            return _eliminated_kernel(self, s, w)
         free = np.delete(np.arange(self.n), pivots)
-        s_free = s[free]
-        zero_pivots = pivots[s[pivots] == 0]
-        if not zero_pivots.size:
-            return _KernelReadOff(p, free, pivots, w.basis[free], s_free[:, None],
-                                  linalg.inverses(self.field, s[pivots]))
-        rows = linalg.constraint_rows(self.field, w)  # e_f - W[f, :] at P
-        live = rows[s_free != 0] * s_free[s_free != 0][:, None] % p
-        kill = linalg.left_kernel_rows(self.field, live[:, zero_pivots])
-        live = linalg.mat_mul(self.field, kill, live)
-        zeros = np.flatnonzero(s == 0)
-        units = linalg.zeros(self.field, len(zeros), self.n)
-        units[range(len(zeros)), zeros] = 1
-        return _KernelRows(self, w, np.vstack([live * linalg.inverses(self.field, s) % p, units]))
+        return _KernelReadOff(self.field.p, free, pivots, w.basis[free], s[free, None],
+                              linalg.inverses(self.field, s_pivots))
 
     def add_checks(self, report: ValidationReport) -> None:
         report.add("rank A_V = delta",
@@ -327,25 +315,19 @@ def sum_of_products_dim(rep, sections, w: Subspace) -> int:
     return linalg.matrix_rank(rep.field, _product_blocks(rep, sections, w.basis))
 
 
-def _division_stack(rep, kw: np.ndarray, sections) -> np.ndarray:
-    """The stacked constraint matrix whose kernel is W' / {s_i}, in
-    coordinates over full_v()."""
-    e = rep.full_v().basis
-    return np.vstack([linalg.mat_mul(rep.field, kw, _apply_mul(rep, s, e))
-                      for s in _nonzero_sections(sections)])
-
-
 def divide(rep, wp: Subspace, sections) -> Subspace:
-    """Canonical basis of {u in V : u * s_i in W' for all i}."""
+    """Canonical basis of {u in V : u * s_i in W' for all i}, from the
+    blocks K_W' * (s_i*E) with K_W' read off W' (module docstring)."""
     if wp.ambient != rep.n_prime:
         raise DimensionMismatch("W' must live in V'")
-    return divide_raw(rep, wp.basis, sections)
+    e = rep.full_v()
+    kw = _KernelRows(rep, e, linalg.constraint_rows(rep.field, wp))
+    return divide_own(rep, e, [kw.block(s) for s in _nonzero_sections(sections)])
 
 
-def divide_raw(rep, wp_basis: np.ndarray, sections) -> Subspace:
-    """Division against any (not necessarily canonical) spanning basis of W'."""
-    kw = linalg.left_kernel_rows(rep.field, wp_basis)
-    return _times(rep.full_v(), linalg.kernel_basis(rep.field, _division_stack(rep, kw, sections)))
+def _eliminated_kernel(rep, s: np.ndarray, w: Subspace) -> _KernelRows:
+    """K, the left kernel of s*W, as rows found by elimination."""
+    return _KernelRows(rep, w, linalg.left_kernel_rows(rep.field, _apply_mul(rep, s, w.basis)))
 
 
 def own_kernel(rep, s: np.ndarray, w: Subspace) -> OwnKernel:

@@ -469,6 +469,8 @@ def load_bundle(path: str) -> CurveBundle:
                 f" {BUNDLE_VERSION}); regenerate the file with `jacarith gen`")
         if unknown := sorted(set(doc) - _BUNDLE_KEYS):
             raise MalformedFile(f"unknown fields {unknown}")
+        if unknown := sorted(set(doc["curve"]) - {"f", "h"}):
+            raise MalformedFile(f"unknown curve fields {unknown}")
         p, g, Delta, d = doc["p"], doc["g"], doc["Delta"], doc["d"]
         for name, value in (("p", p), ("g", g), ("Delta", Delta), ("d", d)):
             if type(value) is not int and not (name == "d" and value is None):  # no bools

@@ -12,12 +12,13 @@ k * (p-1)^2 < 2^63, which holds for every p <= 2^20 when k < 2^23.  No
 caller comes near that k, so the products do not check it.
 
 One Gaussian elimination loop (``_eliminate``) serves rref, rank and both
-kernels.  It reduces lazily: a pivot step reduces only the pivot column,
-the pivot row and the multipliers, and the rest of the matrix is reduced
-once at the end.  A step subtracts less than p^2 from an entry, so entries
-stay below min(m, n) * (p-1)^2 + p in absolute value.  For every prime
-p <= 2^20 that is below 2^63 when min(m, n) < 8,388,672; each elimination
-checks it.
+kernels; one read-off (``_read_off``) turns an rref, or a canonical basis
+as it stands, into its kernel.  The elimination reduces lazily: a pivot
+step reduces only the pivot column, the pivot row and the multipliers, and
+the rest of the matrix is reduced once at the end.  A step subtracts less
+than p^2 from an entry, so entries stay below min(m, n) * (p-1)^2 + p in
+absolute value.  For every prime p <= 2^20 that is below 2^63 when
+min(m, n) < 8,388,672; each elimination checks it.
 
 Subspaces of F_p^N are always stored canonically: the basis matrix is in
 reduced column echelon form (pivot rows strictly increasing, pivots 1, pivot
@@ -176,41 +177,33 @@ def kernel_basis(field: PrimeField, a: np.ndarray) -> Subspace:
     entries only at pivot columns before f.  Reflected back, these vectors
     are the reduced column echelon form, with the free columns as pivot rows.
     """
-    n = a.shape[1]
     r, pivots = rref(field, a[:, ::-1])
-    pivot_set = set(pivots)
-    free = [c for c in range(n - 1, -1, -1) if c not in pivot_set]
-    k = zeros(field, n, len(free))
-    k[free, range(len(free))] = 1
-    k[pivots] = -r[: len(pivots), free] % field.p
-    return Subspace(field, n, k[::-1].copy())
+    k = _read_off(field, r[: len(pivots)].T, pivots)
+    return Subspace(field, a.shape[1], k[::-1, ::-1].T.copy())
 
 
 def left_kernel_rows(field: PrimeField, a: np.ndarray) -> np.ndarray:
     """Rows spanning {w : w a = 0}; shape (rows - rank) x rows."""
-    m = a.shape[0]
     r, pivots = rref(field, a.T)
-    pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
-    rows = zeros(field, len(free), m)
-    rows[range(len(free)), free] = 1
-    rows[:, pivots] = (-r[: len(pivots), free] % field.p).T
-    return rows
+    return _read_off(field, r[: len(pivots)].T, pivots)
 
 
 def constraint_rows(field: PrimeField, s: Subspace) -> np.ndarray:
-    """A matrix K with ker K = the subspace (K has full row rank).
+    """A matrix K with ker K = the subspace (K has full row rank): the
+    ``left_kernel_rows`` of W, read off its canonical basis."""
+    return _read_off(field, s.basis, s.pivot_rows.tolist())
 
-    Row f, for each free (non-pivot) row f of the canonical basis W, is
-    e_f - W[f, :] placed at the pivot rows: ``left_kernel_rows(field, W)``
-    read off without elimination, since W's transpose is already in reduced
-    row echelon form.
-    """
-    pivots = s.pivot_rows
-    free = np.delete(np.arange(s.ambient), pivots)
-    rows = zeros(field, len(free), s.ambient)
+
+def _read_off(field: PrimeField, basis: np.ndarray, pivots) -> np.ndarray:
+    """Left kernel of a reduced column echelon basis with pivot rows
+    ``pivots``: for each free row f in turn, e_f - basis[f, :] placed at the
+    pivot rows (basis[pivots] is the identity, so each row kills it)."""
+    n = basis.shape[0]
+    pivot_set = set(pivots)
+    free = [f for f in range(n) if f not in pivot_set]
+    rows = zeros(field, len(free), n)
     rows[range(len(free)), free] = 1
-    rows[:, pivots] = -s.basis[free] % field.p
+    rows[:, pivots] = -basis[free] % field.p
     return rows
 
 

@@ -79,6 +79,10 @@ def test_membership_suite_over_f2(tmp_path, capsys):
                          "--suite", "membership", "--trials", "4", "--seed", "1")
     assert code == 0
     assert {r["case"] for r in rows} >= {"genuine-spaces-accepted", "perturbed-spaces-rejected"}
+    # the count is of every Las Vegas call, not of deflations alone: the two
+    # stored deflations, then the walk's two flips (d -> 2d -> d) per point
+    retries, = (r for r in rows if r["case"] == "las-vegas-retries")
+    assert retries["details"]["las_vegas_calls"] == 2 + 2 * 4
 
 
 @pytest.mark.parametrize("argv", [

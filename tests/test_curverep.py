@@ -220,6 +220,25 @@ def test_repb0_divide_inverts_simple_mul(b0_bundle):
         assert ja.divide(rep, ja.simple_mul(rep, s, w), [s]) == w
 
 
+@pytest.mark.parametrize("form", ["a", "b0"])
+def test_divide_runs_one_elimination(b0_bundle, form):
+    # K_W' is read off the canonical W', so the one rref is the kernel of the
+    # stacked blocks (once full_v() is cached)
+    rep = b0_bundle.rep_a if form == "a" else b0_bundle.rep_b0
+    full = rep.full_v()
+    rng = ja.RandomStream(f"one-elimination-{form}")
+    for i in range(5):
+        r = rng.split(i)
+        s, t = (b0_bundle.to_b0_vector(_random_vec(b0_bundle.rep_a, r)) if form == "b0"
+                else _random_vec(rep, r) for _ in range(2))
+        cols = sorted({r.randrange(full.dim) for _ in range(3)})
+        w = ja.column_echelon(rep.field, full.basis[:, cols])
+        wp = ja.simple_mul(rep, s, w)
+        with mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+            ja.divide(rep, wp, [s, t])
+        assert rref.call_count == 1
+
+
 # Division on the point-value form solves in coordinates over full_v().  The
 # reference below is the value-coordinate formulation it replaced: the
 # kernel of [K_V; K_W' * diag(s_i)] in all N coordinates, where the K_V rows
@@ -281,12 +300,11 @@ def test_repb0_division_matches_value_coordinate_reference(data):
     got = ja.divide(rep, wp, sections)
     assert got.ambient == rep.n and got.basis.dtype == linalg.dtype_for(field)
     assert got == want
-    assert curverep.divide_raw(rep, raw, sections) == want
     assert want_nonzero == (want.dim > 0)
 
 
 # Own-section division: (s*W)/{s, t_2, ..., t_h} for s the first canonical
-# column of W, against divide_raw on the same dividend.  The point-value form
+# column of W, against divide on the same dividend.  The point-value form
 # needs 2*Delta + 1 rational points, which F_2 does not have.
 
 _OWN_REPS = {}
@@ -303,7 +321,7 @@ def _own_rep(form, p):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_divide_own_matches_divide_raw(data):
+def test_divide_own_matches_divide(data):
     form, p = data.draw(st.sampled_from(
         [("a", 2), ("a", 1009), ("a", 2**31 - 1), ("b0", 1009), ("b0", 2**31 - 1)]))
     rep = _own_rep(form, p)
@@ -318,8 +336,8 @@ def test_divide_own_matches_divide_raw(data):
     for _ in range(data.draw(st.integers(0, 3))):
         space = data.draw(st.sampled_from((w, rep.full_v())))
         sections.append(space.basis.dot(_draw_matrix(data, field, space.dim, 1))[:, 0] % p)
-    raw = ja.simple_mul(rep, sections[0], w).basis
-    want = curverep.divide_raw(rep, raw, sections)
+    s_w = ja.simple_mul(rep, sections[0], w)
+    want = ja.divide(rep, s_w, sections)
     blocks = curverep.own_blocks(rep, w, sections)
     got = curverep.divide_own(rep, w, blocks)
     assert got.ambient == rep.n and got.basis.dtype == want.basis.dtype
@@ -328,7 +346,7 @@ def test_divide_own_matches_divide_raw(data):
     assert rank == w.dim - want.dim
     nonzero = rank < w.dim
     if form == "b0":
-        ref, ref_nonzero = _reference_division(rep, raw, sections)
+        ref, ref_nonzero = _reference_division(rep, s_w.basis, sections)
         assert ref == want and ref_nonzero == nonzero
 
 
@@ -337,8 +355,8 @@ def test_divide_own_matches_divide_raw(data):
 # reference is left_kernel_rows of s*W, by elimination, and the rows of the
 # documented formula times t*W.  s is the head of another subspace W_D
 # (nonzero at W_D's pivot rows, as in a flip), or a section of V forced to
-# vanish at some pivot rows of W, where K keeps its rows (one small
-# elimination) and its blocks are products.
+# vanish at some pivot rows of W, where K comes by elimination of s*W, as in
+# table form, and its blocks are products.
 
 def _formula_rows(rep, s, w):
     """Row f = e_f - s_f*W[f, :]*diag(s_P)^{-1} at the pivot rows P."""
@@ -385,11 +403,11 @@ def test_repb0_own_kernel_matches_elimination(data):
             mock.patch.object(curverep, "_apply_mul", wraps=curverep._apply_mul) as mul:
         k = curverep.own_kernel(rep, s, w)
         blocks = curverep.own_blocks(rep, w, [s] + ts, k)
-    # the elimination, and every product, run only where s vanishes at a
-    # pivot row of W
+    # the elimination, s*W and every block's product run only where s
+    # vanishes at a pivot row of W
     assert lk.called == (not read_off)
     live = [t for t in ts if np.count_nonzero(t)]
-    assert mul.call_count == (0 if read_off else len(live))
+    assert mul.call_count == (0 if read_off else len(live) + 1)
     rows = _formula_rows(rep, s, w) if read_off else k.rows
     assert rows.shape == want.shape == (rep.n - w.dim, rep.n)
     assert rows.dtype == want.dtype

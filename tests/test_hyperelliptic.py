@@ -199,6 +199,8 @@ TAMPERED = [
      "curve.h must be a list of integers"),
     # a stale version-1 field is refused, not ignored
     (lambda doc: doc.update(tables=[]), ja.MalformedFile, r"unknown fields \['tables'\]"),
+    (lambda doc: doc["curve"].update(tables=[[1]]), ja.MalformedFile,
+     r"unknown curve fields \['tables'\]"),
 ]
 
 

@@ -107,7 +107,7 @@ def test_rules_catch_what_they_describe(tmp_path):
                    "assert True\n"
                    "jacobian._space_bytes(None)\n"
                    "cr._apply_mul(None, None, None)\n"
-                   "cr._division_stack(None, None, None)\n"
+                   "cr._eliminated_kernel(None, None, None)\n"
                    "jacobian.__name__\n"
                    "m = a.dot(b) % p\n"
                    "m = np.tensordot(s, tables, axes=(0, 0)) % p\n"
@@ -119,7 +119,7 @@ def test_rules_catch_what_they_describe(tmp_path):
     assert [v.split(": ", 1)[1] for v in violations(bad)] == [
         "_LOOP_CAP read in retry, own_loop", "from .linalg import _eliminate",
         "assert statement", "@ product outside linalg", "jacobian._space_bytes",
-        "cr._division_stack", "dot product outside linalg", "tensordot product outside linalg"]
+        "cr._eliminated_kernel", "dot product outside linalg", "tensordot product outside linalg"]
     (tmp_path / "linalg.py").write_text("m = a.dot(b) % p\nm = a @ b\n")
     assert violations(tmp_path / "linalg.py") == []
 
