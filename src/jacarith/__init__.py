@@ -14,11 +14,10 @@ from .linalg import (DimensionMismatch, Subspace, column_echelon, kernel_basis,
 from .curverep import (AllZeroSections, RepA, RepB0, ZeroSection, divide,
                        mult_matrix, product, simple_mul, sum_of_products,
                        validate_rep)
-from .divisors import (DivisorBrief, DivisorFull, EmptySpace, IgsV,
-                       PreconditionCodim, PreconditionDegree, RetryStats,
-                       deflate, divisor_from_space, flip, igs_for_v,
-                       igs_size_h, inflate, is_igs, membership_test,
-                       random_igs_candidate)
+from .divisors import (DivisorBrief, EmptySpace, PreconditionCodim,
+                       PreconditionDegree, RetryStats, deflate, degree, flip,
+                       igs_for_v, igs_size_h, inflate, is_igs,
+                       membership_test, random_igs_candidate)
 from .jacobian import (LARGE, SMALL, InconsistentPrecomp, JacobianPoint,
                        LargeModel, LargeModelPrecomp, TagMismatch, add,
                        addflip, addflip_large, addflip_small, equal_class,

@@ -25,6 +25,9 @@ from .hyperelliptic import BadCharacteristic, HyperellipticCurve
 from .jacobian import LARGE, SMALL, JacobianPoint, LargeModel
 
 
+_MUMFORD_TRIES = 500  # draws of u before random_mumford gives up
+
+
 class CurveMismatch(ValueError):
     """Mumford data does not belong to the model's curve."""
 
@@ -137,13 +140,12 @@ def _sqrt_f_mod_u(curve: HyperellipticCurve, u: tuple, rng: RandomStream) -> tup
     return v
 
 
-def random_mumford(curve: HyperellipticCurve, rng: RandomStream,
-                   max_tries: int = 500) -> MumfordDivisor:
+def random_mumford(curve: HyperellipticCurve, rng: RandomStream) -> MumfordDivisor:
     """Random reduced divisor with deg u = g; retries until v^2 = f mod u
     is solvable.  The distribution is not exactly uniform, which is fine
     for testing."""
     _require_odd(curve)
-    for _ in range(max_tries):
+    for _ in range(_MUMFORD_TRIES):
         u = poly.random_monic(curve.g, curve.p, rng)
         v = _sqrt_f_mod_u(curve, u, rng)
         if v is not None:
@@ -167,7 +169,7 @@ def mumford_to_point(model: LargeModel, m: MumfordDivisor,
 
     if tag == LARGE:
         small = mumford_to_point(model, cantor_negate(curve, m), SMALL)
-        return JacobianPoint(LARGE, model.flip_of(small.divisor))
+        return JacobianPoint(LARGE, model.flip_of(small.space))
     if tag != SMALL:
         raise jacobian.TagMismatch(f"unknown size tag {tag!r}")
     out = semireduced_space(model, m.u, m.v, model.d)
@@ -175,7 +177,7 @@ def mumford_to_point(model: LargeModel, m: MumfordDivisor,
 
 
 def semireduced_space(model: LargeModel, u: tuple, v: tuple,
-                      degree: int) -> divisors.DivisorFull:
+                      degree: int) -> linalg.Subspace:
     """W_D for D = (affine divisor of a semi-reduced pair) + padding at
     infinity up to the given total degree.  Needs u | v^2 + h v - f and
     deg u <= degree <= Delta - 2g."""
@@ -213,11 +215,9 @@ def semireduced_space(model: LargeModel, u: tuple, v: tuple,
             block[r, j] = 1
         rows.append(block)
     space = rep.from_table_space(linalg.kernel_basis(field, np.vstack(rows)))
-    out = divisors.divisor_from_space(rep, space)
-    if out.degree != degree:
-        raise CurveMismatch(
-            f"bridged space has degree {out.degree}, expected {degree}")
-    return out
+    if (got := divisors.degree(rep, space)) != degree:
+        raise CurveMismatch(f"bridged space has degree {got}, expected {degree}")
+    return space
 
 
 def oracle_compare(model: LargeModel, engine_point: JacobianPoint,

@@ -66,12 +66,12 @@ def random_points(model, tag: str, count: int, rng: RandomStream) -> list:
     rep = model.rep
     want = model.d if tag == SMALL else 2 * model.d
     out = []
-    cur = jacobian.zero_point(model, SMALL).divisor
+    cur = model.W_D0
     i = 0
     while len(out) < count:
-        s = _random_section(rep.field, cur.space, rng.split(f"s{i}"))
+        s = _random_section(rep.field, cur, rng.split(f"s{i}"))
         cur = divisors.flip(rep, cur, rng.split(f"f{i}"), s=s, stats=model.stats)
-        if cur.degree == want:
+        if divisors.degree(rep, cur) == want:
             out.append(jacobian.JacobianPoint(tag, cur))
         i += 1
     return out
@@ -205,14 +205,14 @@ def suite_igs_stats(args, rng: RandomStream) -> Reporter:
     rep = model.rep
     trials = args.trials
     pool_size = max(8, min(64, trials // 16))
-    pool = [p.divisor for p in random_points(model, SMALL, pool_size, rng.split("pool"))]
+    pool = [p.space for p in random_points(model, SMALL, pool_size, rng.split("pool"))]
 
     h = divisors.igs_size_h(rep.Delta, model.d, rep.field.sigma_size)
     successes = 0
     for i in range(trials):
         d = pool[i % len(pool)]
         cand = divisors.random_igs_candidate(rep, d, rng.split(f"cand{i}"))
-        successes += divisors.is_igs(rep, cand, d.degree)
+        successes += divisors.is_igs(rep, cand, divisors.degree(rep, d))
     frac = successes / trials
     report.case("igs-success-fraction", frac >= 0.45, trials=trials,
                 fraction=round(frac, 4), h=h, sigma=rep.field.sigma_size)
@@ -295,7 +295,7 @@ OPS = {
     "add": (SMALL, lambda m, x, y, r: jacobian.add(m, x, y, r)),
     "negate": (SMALL, lambda m, x, y, r: jacobian.negate(m, x, r)),
     "equal": (SMALL, lambda m, x, y, r: jacobian.equal_class(m, x, y)),
-    "flip": (SMALL, lambda m, x, y, r: divisors.flip(m.rep, x.divisor, r, stats=m.stats)),
+    "flip": (SMALL, lambda m, x, y, r: divisors.flip(m.rep, x.space, r, stats=m.stats)),
     "scalar-mul": (SMALL, lambda m, x, y, r: jacobian.scalar_mul(m, SCALE_SCALAR, x, r)),
 }
 
@@ -316,6 +316,8 @@ def cmd_scale(args) -> int:
     genera = [int(tok) for tok in args.genus_list.split(",") if tok]
     if not genera:
         raise ValueError(f"--genus-list names no genus: {args.genus_list!r}")
+    if len(set(genera)) != len(genera):
+        raise ValueError(f"--genus-list repeats a genus: {args.genus_list!r}")
     tag = OPS[args.op][0]
     rows = []
     for g in genera:
@@ -333,13 +335,8 @@ def cmd_scale(args) -> int:
                           "seed": str(args.seed)}))
     slope = None
     if len(rows) >= 2:
-        xs = [math.log(g) for g, _ in rows]
-        ys = [math.log(t) for _, t in rows]
-        n = len(xs)
-        sx, sy = sum(xs), sum(ys)
-        sxx = sum(x * x for x in xs)
-        sxy = sum(x * y for x, y in zip(xs, ys))
-        slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+        slope = statistics.linear_regression([math.log(g) for g, _ in rows],
+                                             [math.log(t) for _, t in rows]).slope
     print(json.dumps({"suite": "scale", "case": "loglog-slope", "pass": True,
                       "details": {"op": args.op,
                                   "slope": round(slope, 4) if slope is not None else "n/a"},

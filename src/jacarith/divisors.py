@@ -1,8 +1,9 @@
 """Divisor representations and the Las Vegas conversion algorithms.
 
-An effective divisor D is held either in full form (the subspace W_D of V of
-sections vanishing on D, with degree = codim) or in brief form (an ideal
-generating set: a few sections whose common zero divisor is exactly D).
+An effective divisor D is held either in full form, W_D itself (the
+canonical subspace of the sections of V that vanish on D, whose codimension
+is deg D: ``degree``), or in brief form (an ideal generating set: a few
+sections whose common zero divisor is exactly D).
 Random candidates for brief form succeed with probability >= 1/2 at the
 advertised size h, and success is verifiable by a dimension count, so every
 conversion loop terminates with verified output.  Every retry runs through
@@ -41,23 +42,9 @@ class LasVegasExhausted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DivisorFull:
-    """Full representation: W_D plus its degree (= codim of W_D in V)."""
-
-    space: Subspace
-    degree: int
-
-
-@dataclass(frozen=True)
 class DivisorBrief:
-    """Brief representation: an ideal generating set for D."""
-
-    sections: tuple
-
-
-@dataclass(frozen=True)
-class IgsV:
-    """A verified ideal generating set for the zero divisor (all of V)."""
+    """Brief representation: an ideal generating set for D (for the zero
+    divisor, a generating set of V)."""
 
     sections: tuple
 
@@ -84,16 +71,16 @@ class RetryStats:
         return self.attempts / self.calls if self.calls else 0.0
 
 
-def divisor_from_space(rep, space: Subspace) -> DivisorFull:
-    return DivisorFull(space, rep.delta - space.dim)
+def degree(rep, w: Subspace) -> int:
+    """deg D for the full form w = W_D: its codimension in V."""
+    return rep.delta - w.dim
 
 
-def require_degree(d: DivisorFull, expected: int, what: str) -> DivisorFull:
-    """d itself, once its degree is the one the theory guarantees."""
-    if d.degree != expected:
-        raise curverep.DegreeLawViolation(
-            f"{what} has degree {d.degree}, expected {expected}")
-    return d
+def require_degree(rep, w: Subspace, expected: int, what: str) -> Subspace:
+    """w itself, once its degree is the one the theory guarantees."""
+    if (got := degree(rep, w)) != expected:
+        raise curverep.DegreeLawViolation(f"{what} has degree {got}, expected {expected}")
+    return w
 
 
 def _ceil_log(base: int, target: int) -> int:
@@ -129,10 +116,10 @@ def igs_candidate(rep, space: Subspace, h: int, rng) -> list[np.ndarray]:
                                 for _ in range(h - 1)]
 
 
-def random_igs_candidate(rep, d: DivisorFull, rng) -> DivisorBrief:
+def random_igs_candidate(rep, wd: Subspace, rng) -> DivisorBrief:
     """Unverified brief-representation candidate for D (verify with is_igs)."""
-    h = igs_size_h(rep.Delta, d.degree, rep.field.sigma_size)
-    return DivisorBrief(tuple(igs_candidate(rep, d.space, h, rng)))
+    h = igs_size_h(rep.Delta, degree(rep, wd), rep.field.sigma_size)
+    return DivisorBrief(tuple(igs_candidate(rep, wd, h, rng)))
 
 
 def is_igs(rep, brief: DivisorBrief, expected_codim: int) -> bool:
@@ -150,7 +137,7 @@ def is_igs(rep, brief: DivisorBrief, expected_codim: int) -> bool:
     return rep.delta_prime - dim == expected_codim
 
 
-def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
+def deflate(rep, wd: Subspace, rng, stats: RetryStats | None = None,
             s: np.ndarray | None = None) -> DivisorBrief:
     """Las Vegas full-to-brief conversion; output is always verified.
 
@@ -160,7 +147,7 @@ def deflate(rep, d: DivisorFull, rng, stats: RetryStats | None = None,
     s is W_D's head (``rep.head``) or the given nonzero section of W_D.
     It serves brief forms that are kept (D_0, 2*D_0) or not divided by.
     """
-    return _own_section_loop(rep, d, rep.full_v(), rng, stats, s, "deflation", _ranked)
+    return _own_section_loop(rep, wd, rep.full_v(), rng, stats, s, "deflation", _ranked)
 
 
 def _ranked(rep, w: Subspace, brief: DivisorBrief, blocks):
@@ -172,7 +159,7 @@ def _divided(rep, w: Subspace, brief: DivisorBrief, blocks):
     """The judge of ``flip`` and ``divide_by``: r is dim W less the
     quotient's dimension, and the quotient the result."""
     space = curverep.divide_own(rep, w, blocks)
-    return w.dim - space.dim, divisor_from_space(rep, space)
+    return w.dim - space.dim, space
 
 
 def _retry(what: str, stats: RetryStats | None, attempt):
@@ -188,7 +175,7 @@ def _retry(what: str, stats: RetryStats | None, attempt):
     raise LasVegasExhausted(f"{what} failed repeatedly; data is likely inconsistent")
 
 
-def _own_section_loop(rep, d: DivisorFull, w: Subspace, rng,
+def _own_section_loop(rep, wd: Subspace, w: Subspace, rng,
                       stats: RetryStats | None, s: np.ndarray | None,
                       what: str, judge):
     """The one candidate loop of ``deflate``, ``flip`` and ``divide_by``,
@@ -203,16 +190,17 @@ def _own_section_loop(rep, d: DivisorFull, w: Subspace, rng,
     r = Delta - deg D accepts out, a smaller r >= 0 is a redraw, and
     anything else breaks the degree law.
     """
-    if not 2 * rep.g - 1 <= d.degree <= rep.Delta - 2 * rep.g:
+    deg = degree(rep, wd)
+    if not 2 * rep.g - 1 <= deg <= rep.Delta - 2 * rep.g:
         raise PreconditionDegree(
-            f"{what} needs 2g-1 <= deg D <= Delta-2g, got deg D = {d.degree}")
-    if d.space.dim == 0:
+            f"{what} needs 2g-1 <= deg D <= Delta-2g, got deg D = {deg}")
+    if wd.dim == 0:
         raise EmptySpace(f"{what} needs a nonzero space W_D")
-    kw = curverep.own_kernel(rep, rep.head(d.space) if s is None else s, w)
-    low, want = rep.delta - w.dim, rep.Delta - d.degree
+    kw = curverep.own_kernel(rep, rep.head(wd) if s is None else s, w)
+    low, want = degree(rep, w), rep.Delta - deg
 
     def attempt():
-        brief = random_igs_candidate(rep, d, rng)
+        brief = random_igs_candidate(rep, wd, rng)
         if s is not None:
             brief = DivisorBrief((s.copy(),) + brief.sections[1:])
         r, out = judge(rep, w, brief, curverep.own_blocks(rep, w, brief.sections, kw))
@@ -221,13 +209,13 @@ def _own_section_loop(rep, d: DivisorFull, w: Subspace, rng,
         if 0 <= r < want:
             return None
         raise curverep.DegreeLawViolation(
-            f"{what} of a degree-{low} space by a degree-{d.degree} divisor:"
+            f"{what} of a degree-{low} space by a degree-{deg} divisor:"
             f" the quotient has degree {low + r}, expected {low + want}")
 
     return _retry(what, stats, attempt)
 
 
-def igs_for_v(rep, star_matrix, rng, stats: RetryStats | None = None) -> IgsV:
+def igs_for_v(rep, star_matrix, rng, stats: RetryStats | None = None) -> DivisorBrief:
     """Verified generating set for the zero divisor (Las Vegas), judged by
     ``verify_igs_v``.  ``star_matrix(s)`` is multiplication by s from V' to
     V'', so rep is the table form.  Its one engine caller is
@@ -237,7 +225,7 @@ def igs_for_v(rep, star_matrix, rng, stats: RetryStats | None = None) -> IgsV:
 
     def attempt():
         sections = igs_candidate(rep, full, h, rng)
-        return IgsV(tuple(sections)) if verify_igs_v(rep, star_matrix, sections) else None
+        return DivisorBrief(tuple(sections)) if verify_igs_v(rep, star_matrix, sections) else None
 
     return _retry("the search for a generating set of V", stats, attempt)
 
@@ -248,15 +236,15 @@ def verify_igs_v(rep, star_matrix, sections) -> bool:
     return linalg.matrix_rank(rep.field, stacked) == 3 * rep.Delta + 1 - rep.g
 
 
-def inflate(rep, brief: DivisorBrief, defl_v: IgsV) -> DivisorFull:
-    """Deterministic brief-to-full conversion (needs deg D >= 2g-1)."""
+def inflate(rep, brief: DivisorBrief, defl_v: DivisorBrief) -> Subspace:
+    """Deterministic brief-to-full conversion (needs deg D >= 2g-1);
+    defl_v is a generating set of V."""
     wprime = curverep.sum_of_products(rep, brief.sections, rep.full_v())
-    space = curverep.divide(rep, wprime, defl_v.sections)
-    return divisor_from_space(rep, space)
+    return curverep.divide(rep, wprime, defl_v.sections)
 
 
-def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
-         stats: RetryStats | None = None) -> DivisorFull:
+def flip(rep, wd: Subspace, rng, s: np.ndarray | None = None,
+         stats: RetryStats | None = None) -> Subspace:
     """Complementary divisor: for s in W_D with (s) = D + E, compute W_E.
 
     s is W_D's head (``rep.head``) or the given nonzero section of W_D, and
@@ -266,11 +254,11 @@ def flip(rep, d: DivisorFull, rng, s: np.ndarray | None = None,
     verified as it divides.  s also lies in W_E, so a caller can go on to
     divide s*W by E at s (``divide_by``).
     """
-    return _own_section_loop(rep, d, rep.full_v(), rng, stats, s, "flip", _divided)
+    return _own_section_loop(rep, wd, rep.full_v(), rng, stats, s, "flip", _divided)
 
 
-def divide_by(rep, w: Subspace, d: DivisorFull, rng, s: np.ndarray | None = None,
-              stats: RetryStats | None = None) -> DivisorFull:
+def divide_by(rep, w: Subspace, wd: Subspace, rng, s: np.ndarray | None = None,
+              stats: RetryStats | None = None) -> Subspace:
     """(s*W)/D for s in W_D, by a generating set of D that the division
     verifies: the candidate loop on W (``_own_section_loop``) divides each
     candidate (s, t_2, ..., t_h) at once, and the quotient has degree
@@ -278,14 +266,14 @@ def divide_by(rep, w: Subspace, d: DivisorFull, rng, s: np.ndarray | None = None
     that is at most Delta - 2g + 1, where degree is codimension.  s is W_D's
     head (``rep.head``) or the given nonzero section of W_D.
     """
-    target = rep.delta - w.dim + rep.Delta - d.degree
+    target = degree(rep, w) + rep.Delta - degree(rep, wd)
     if target > rep.Delta - 2 * rep.g + 1:
         raise PreconditionDegree(
             f"division needs deg W + Delta - deg D <= Delta-2g+1, got {target}")
-    return _own_section_loop(rep, d, w, rng, stats, s, "division", _divided)
+    return _own_section_loop(rep, wd, w, rng, stats, s, "division", _divided)
 
 
-def membership_test(rep, w: Subspace, defl_v: IgsV, rng,
+def membership_test(rep, w: Subspace, defl_v: DivisorBrief, rng,
                     stats: RetryStats | None = None) -> bool:
     """Whether W equals W_D for D its own common-zero divisor (Las Vegas).
 
@@ -294,7 +282,7 @@ def membership_test(rep, w: Subspace, defl_v: IgsV, rng,
     on an exact match the division by the generating set of V reconstructs
     W_D for a bit-exact comparison.
     """
-    c = rep.delta - w.dim
+    c = degree(rep, w)
     if not 2 * rep.g <= c <= rep.Delta - 2 * rep.g:
         raise PreconditionCodim(
             f"membership test needs 2g <= codim <= Delta-2g, got codim = {c}")

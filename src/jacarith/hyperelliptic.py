@@ -32,6 +32,7 @@ BUNDLE_VERSION = 2
 _BUNDLE_KEYS = {"format", "version", "p", "g", "Delta", "d", "rep", "curve", "points"}
 
 _SMOOTHNESS_RETRIES = 200
+_TABLE_BYTES_BUDGET = 2**31  # RepA's tables, 8 bytes an entry; g = 80 needs 1.13 GB
 
 
 class SingularCurve(ValueError):
@@ -258,11 +259,16 @@ def _random_f(g: int, p: int, rng: RandomStream) -> tuple:
 
 def build_rep_a(curve: HyperellipticCurve, field: PrimeField, Delta: int) -> tuple:
     """(RepA, V-monomials) for the line bundle of degree Delta at infinity,
-    checked by ``validate_rep``.  Generation and file loading both come here."""
+    checked by ``validate_rep``.  Generation and file loading both come here,
+    so tables over ``_TABLE_BYTES_BUDGET`` are refused before any is built."""
+    g = curve.g
+    delta, delta_prime = Delta + 1 - g, 2 * Delta + 1 - g
+    if (size := delta * delta_prime * delta * 8) > _TABLE_BYTES_BUDGET:
+        raise ValueError(f"tables for g = {g}, Delta = {Delta} need {size} bytes,"
+                         f" over the budget of {_TABLE_BYTES_BUDGET}")
     v = basis_monomials(curve, Delta)
     vp = basis_monomials(curve, 2 * Delta)
-    g = curve.g
-    if len(v) != Delta + 1 - g or len(vp) != 2 * Delta + 1 - g:
+    if len(v) != delta or len(vp) != delta_prime:
         raise SingularCurve("monomial basis has unexpected dimension")
     tables = _build_tables(curve, field, v, vp)
     rep = RepA(field, g, Delta, tables,
@@ -274,20 +280,17 @@ def build_rep_a(curve: HyperellipticCurve, field: PrimeField, Delta: int) -> tup
     return rep, v
 
 
-def gen_hyperelliptic(g: int, p: int, f=None, rng: RandomStream | None = None,
-                      d: int | None = None) -> CurveBundle:
-    """Generate a genus-g curve bundle over F_p with large-model data.
-
-    Default d = max(2g, 2) and Delta = 3d.  With f omitted, a random
-    smooth curve is drawn from the stream.
+def gen_hyperelliptic(g: int, p: int, f=None, rng: RandomStream | None = None) -> CurveBundle:
+    """Generate a genus-g curve bundle over F_p with large-model data:
+    d = max(2g, 2) and Delta = 3d.  With f omitted, a random smooth curve is
+    drawn from the stream.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
     field = make_prime_field(p)
     if rng is None:
         rng = RandomStream(0)
-    if d is None:
-        d = max(2 * g, 2)
+    d = max(2 * g, 2)
     Delta = 3 * d
     curve = make_curve(g, p, f if f is not None else _random_f(g, p, rng))
     rep, v = build_rep_a(curve, field, Delta)

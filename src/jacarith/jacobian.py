@@ -1,12 +1,14 @@
 """Divisor-class group operations in the large model.
 
-A class x is represented by the section space W_D of an effective divisor D
-of degree d ("small", class of D - D_0) or 2d ("large", class of D - 2*D_0),
-where D_0 is a fixed degree-d divisor and the curve's line bundle has degree
-Delta = 3d.  The primitive group operation is the addflip (x, y) -> -(x+y),
-from which negation and addition are derived, and scalar multiplication is
-a signed ladder that spends one addflip per doubling and per addition;
-equality of classes is a single division with a nonzero-ness check.
+A class x is represented by the full form of an effective divisor D: the
+canonical section space W_D itself, with deg D its codimension
+(``divisors.degree``), of degree d ("small", class of D - D_0) or 2d
+("large", class of D - 2*D_0), where D_0 is a fixed degree-d divisor and
+the curve's line bundle has degree Delta = 3d.  The primitive group
+operation is the addflip (x, y) -> -(x+y), from which negation and addition
+are derived, and scalar multiplication is a signed ladder that spends one
+addflip per doubling and per addition; equality of classes is a single
+division with a nonzero-ness check.
 
 Las Vegas steps that the interface does not thread a stream through
 (class-equality deflations, ``LargeModel.flip_of`` called without one)
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curverep, divisors, linalg
-from .divisors import DivisorBrief, DivisorFull, IgsV, RetryStats
+from .divisors import DivisorBrief, RetryStats
 from .field import RandomStream, stream_from_bytes
 from .linalg import Subspace
 
@@ -39,11 +41,7 @@ class InconsistentPrecomp(ValueError):
 @dataclass(frozen=True)
 class JacobianPoint:
     tag: str
-    divisor: DivisorFull
-
-    @property
-    def space(self) -> Subspace:
-        return self.divisor.space
+    space: Subspace
 
 
 @dataclass
@@ -60,9 +58,9 @@ class LargeModelPrecomp:
 class LargeModel:
     """Immutable precomputation bundle for group operations on one curve."""
 
-    def __init__(self, rep, d: int, w_d0: DivisorFull, w_2d0: DivisorFull,
+    def __init__(self, rep, d: int, w_d0: Subspace, w_2d0: Subspace,
                  s0: np.ndarray, defl_d0: DivisorBrief, defl_2d0: DivisorBrief,
-                 defl_v: IgsV | None, salt: str, stats: RetryStats):
+                 defl_v: DivisorBrief | None, salt: str, stats: RetryStats):
         self.rep = rep
         self.g = rep.g
         self.d = d
@@ -77,7 +75,7 @@ class LargeModel:
         self.stats = stats
 
     @property
-    def defl_v(self) -> IgsV:
+    def defl_v(self) -> DivisorBrief:
         """Generating set for V, needed by membership tests and inflation:
         the one ``make_large_model`` was given and kept."""
         if self._defl_v is None:
@@ -89,25 +87,25 @@ class LargeModel:
         return stream_from_bytes(self._salt.encode(), label.encode(),
                                  *(_space_bytes(s) for s in spaces))
 
-    def defl_of(self, d: DivisorFull) -> DivisorBrief:
+    def defl_of(self, wd: Subspace) -> DivisorBrief:
         """Brief representation of a divisor, reusing the stored ones for
-        D_0 and 2*D_0; the draw is keyed by the divisor."""
-        if d.space == self.W_D0.space:
+        D_0 and 2*D_0; the draw is keyed by W_D."""
+        if wd == self.W_D0:
             return self.defl_D0
-        if d.space == self.W_2D0.space:
+        if wd == self.W_2D0:
             return self.defl_2D0
-        return divisors.deflate(self.rep, d, self.content_stream("defl", d.space), self.stats)
+        return divisors.deflate(self.rep, wd, self.content_stream("defl", wd), self.stats)
 
-    def flip_of(self, d: DivisorFull, rng: RandomStream | None = None) -> DivisorFull:
-        """Flip of d at its head, fused with the deflation on the stream
+    def flip_of(self, wd: Subspace, rng: RandomStream | None = None) -> Subspace:
+        """Flip of W_D at its head, fused with the deflation on the stream
         ``defl_of`` would draw from."""
-        rng = rng if rng is not None else self.content_stream("defl", d.space)
-        return divisors.flip(self.rep, d, rng, stats=self.stats)
+        rng = rng if rng is not None else self.content_stream("defl", wd)
+        return divisors.flip(self.rep, wd, rng, stats=self.stats)
 
-    def divide_by_2d0(self, w: Subspace) -> DivisorFull:
+    def divide_by_2d0(self, w: Subspace) -> Subspace:
         """(s0*W)/2*D_0, by the stored brief form of 2*D_0 (headed by s0)."""
         blocks = curverep.own_blocks(self.rep, w, self.defl_2D0.sections)
-        return divisors.divisor_from_space(self.rep, curverep.divide_own(self.rep, w, blocks))
+        return curverep.divide_own(self.rep, w, blocks)
 
 
 def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
@@ -121,16 +119,15 @@ def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
         raise InconsistentPrecomp(f"Delta must equal 3*d, got {rep.Delta} vs d={d}")
     if 3 * d < 2 * rep.g + 2:
         raise InconsistentPrecomp("Delta = 3d must be at least 2g+2")
-    w_d0 = divisors.divisor_from_space(rep, precomp.w_d0)
-    w_2d0 = divisors.divisor_from_space(rep, precomp.w_2d0)
-    if w_d0.degree != d or w_2d0.degree != 2 * d:
+    w_d0, w_2d0 = precomp.w_d0, precomp.w_2d0
+    degrees = divisors.degree(rep, w_d0), divisors.degree(rep, w_2d0)
+    if degrees != (d, 2 * d):
         raise InconsistentPrecomp(
-            f"stored spaces have degrees {w_d0.degree}, {w_2d0.degree}; expected {d}, {2 * d}")
+            f"stored spaces have degrees {degrees[0]}, {degrees[1]}; expected {d}, {2 * d}")
     s0 = precomp.s0 % rep.field.p
     if not np.count_nonzero(s0):
         raise InconsistentPrecomp("s0 must be nonzero")
-    if not (linalg.contains_vector(w_d0.space, s0)
-            and linalg.contains_vector(w_2d0.space, s0)):
+    if not (linalg.contains_vector(w_d0, s0) and linalg.contains_vector(w_2d0, s0)):
         raise InconsistentPrecomp("s0 must lie in both stored spaces")
 
     stats = RetryStats()
@@ -138,7 +135,7 @@ def make_large_model(rep, precomp: LargeModelPrecomp, rng: RandomStream,
     # headed by s0, so that addflip_small's shortcut divides by its own section
     defl_2d0 = divisors.deflate(rep, w_2d0, rng.split("defl-2d0"), stats, s=s0)
     keep = compute_defl_v and precomp.defl_v_sections is not None
-    defl_v = IgsV(tuple(precomp.defl_v_sections)) if keep else None
+    defl_v = DivisorBrief(tuple(precomp.defl_v_sections)) if keep else None
     return LargeModel(rep, d, w_d0, w_2d0, s0, defl_d0, defl_2d0, defl_v, rng.seed, stats)
 
 
@@ -175,7 +172,7 @@ def equal_class(model: LargeModel, x: JacobianPoint, y: JacobianPoint) -> bool:
     if x.space == y.space:
         return True
     rep = model.rep
-    defl_x = model.defl_of(x.divisor)
+    defl_x = model.defl_of(x.space)
     blocks = curverep.own_blocks(rep, y.space, defl_x.sections)
     return curverep.own_rank(rep, y.space, blocks) < y.space.dim
 
@@ -193,18 +190,18 @@ def addflip_small(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     _require(model, x, SMALL)
     _require(model, y, SMALL)
     rep = model.rep
-    if y.space == model.W_D0.space and x.space != model.W_D0.space:
+    if y.space == model.W_D0 and x.space != model.W_D0:
         x, y = y, x  # the result class is symmetric; favor the stored shortcut
-    if x.space == model.W_D0.space:
+    if x.space == model.W_D0:
         # x is the stored identity: s0 flips D_0 to 2*D_0, whose brief
         # representation is precomputed and headed by s0, so the first flip
         # is free.
         w_de = model.divide_by_2d0(y.space)
     else:
         s = rep.head(x.space)
-        d_tilde = divisors.flip(rep, x.divisor, rng, s=s, stats=model.stats)
-        w_de = divisors.divide_by(rep, y.space, d_tilde, rng, s=s, stats=model.stats)
-    divisors.require_degree(w_de, 2 * model.d, "sum divisor")
+        w_tilde = divisors.flip(rep, x.space, rng, s=s, stats=model.stats)
+        w_de = divisors.divide_by(rep, y.space, w_tilde, rng, s=s, stats=model.stats)
+    divisors.require_degree(rep, w_de, 2 * model.d, "sum divisor")
     out = divisors.flip(rep, w_de, rng, stats=model.stats)
     return JacobianPoint(SMALL, out)
 
@@ -220,12 +217,12 @@ def addflip_large(model: LargeModel, x: JacobianPoint, y: JacobianPoint,
     """
     _require(model, x, LARGE)
     _require(model, y, LARGE)
-    d_tilde = model.flip_of(x.divisor, rng)
-    if y.space == model.W_2D0.space:
-        out = model.divide_by_2d0(d_tilde.space)
+    w_tilde = model.flip_of(x.space, rng)
+    if y.space == model.W_2D0:
+        out = model.divide_by_2d0(w_tilde)
     else:
-        out = divisors.divide_by(model.rep, d_tilde.space, y.divisor, rng, stats=model.stats)
-    divisors.require_degree(out, 2 * model.d, "addflip of large divisors")
+        out = divisors.divide_by(model.rep, w_tilde, y.space, rng, stats=model.stats)
+    divisors.require_degree(model.rep, out, 2 * model.d, "addflip of large divisors")
     return JacobianPoint(LARGE, out)
 
 
@@ -274,6 +271,5 @@ def _require(model: LargeModel, x: JacobianPoint, tag: str) -> None:
     if x.tag != tag:
         raise TagMismatch(f"expected a {tag} point, got {x.tag}")
     expected = model.d if tag == SMALL else 2 * model.d
-    if x.divisor.degree != expected:
-        raise TagMismatch(
-            f"{tag} point must have degree {expected}, got {x.divisor.degree}")
+    if (got := divisors.degree(model.rep, x.space)) != expected:
+        raise TagMismatch(f"{tag} point must have degree {expected}, got {got}")

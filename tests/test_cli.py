@@ -157,6 +157,14 @@ def test_scale_empty_genus_list_rejected(capsys, genus_list):
     assert "error: --genus-list names no genus" in err and "Traceback" not in err
 
 
+def test_scale_repeated_genus_rejected(capsys):
+    # a repeated genus left the log-log fit with no spread in log g
+    code, rows, err = _run(capsys, "scale", "--genus-list", "5,5", "--trials", "1")
+    assert code == 2
+    assert rows == []
+    assert "error: --genus-list repeats a genus" in err and "Traceback" not in err
+
+
 def test_scale_times_scalar_mul(capsys, monkeypatch):
     scalars = []
     scalar_mul = jacobian.scalar_mul

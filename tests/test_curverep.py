@@ -137,10 +137,10 @@ def test_basis_sum_of_products_codim_is_degree(bundle_g2, model_g2):
     rng = ja.RandomStream("basis-igs")
     for i in range(10):
         m = ja.random_mumford(bundle_g2.curve, rng.split(i))
-        d = ja.mumford_to_point(model_g2, m).divisor
-        sections = [d.space.basis[:, j] for j in range(d.space.dim)]
+        d = ja.mumford_to_point(model_g2, m).space
+        sections = [d.basis[:, j] for j in range(d.dim)]
         got = ja.sum_of_products(rep, sections, rep.full_v())
-        assert rep.delta_prime - got.dim == d.degree
+        assert rep.delta_prime - got.dim == ja.degree(rep, d)
 
 
 def test_divide_identities(bundle_g2):

@@ -50,36 +50,36 @@ def test_sigma_random_element_uniform(f1009):
 
 def _bridged(bundle, model, label, i):
     m = ja.random_mumford(bundle.curve, ja.RandomStream(label).split(i))
-    return ja.mumford_to_point(model, m).divisor
+    return ja.mumford_to_point(model, m).space
 
 
 def test_random_candidate_deterministic(bundle_g2, model_g2):
     d = _bridged(bundle_g2, model_g2, "cand", 0)
     one = ja.random_igs_candidate(bundle_g2.rep_a, d, ja.RandomStream("fixed"))
     two = ja.random_igs_candidate(bundle_g2.rep_a, d, ja.RandomStream("fixed"))
-    assert len(one.sections) == ja.igs_size_h(bundle_g2.Delta, d.degree, 1009)
+    assert len(one.sections) == ja.igs_size_h(bundle_g2.Delta,
+                                              ja.degree(bundle_g2.rep_a, d), 1009)
     assert all(np.array_equal(a, b) for a, b in zip(one.sections, two.sections))
-    assert np.array_equal(one.sections[0], d.space.basis[:, 0])
+    assert np.array_equal(one.sections[0], d.basis[:, 0])
 
 
 def test_random_candidate_empty_space(bundle_g2):
     rep = bundle_g2.rep_a
     zero = linalg.Subspace(rep.field, rep.n, linalg.zeros(rep.field, rep.n, 0))
-    empty = divisors.divisor_from_space(rep, zero)
     with pytest.raises(ja.EmptySpace):
-        ja.random_igs_candidate(rep, empty, ja.RandomStream(0))
+        ja.random_igs_candidate(rep, zero, ja.RandomStream(0))
 
 
 def test_is_igs_basis_single_superset(bundle_g2, model_g2):
     rep = bundle_g2.rep_a
     d = _bridged(bundle_g2, model_g2, "isigs", 1)
-    basis_sections = tuple(d.space.basis[:, j] for j in range(d.space.dim))
-    assert ja.is_igs(rep, divisors.DivisorBrief(basis_sections), d.degree)
+    basis_sections = tuple(d.basis[:, j] for j in range(d.dim))
+    assert ja.is_igs(rep, divisors.DivisorBrief(basis_sections), ja.degree(rep, d))
     # one section alone generates a divisor of degree Delta > deg D
-    assert not ja.is_igs(rep, divisors.DivisorBrief(basis_sections[:1]), d.degree)
+    assert not ja.is_igs(rep, divisors.DivisorBrief(basis_sections[:1]), ja.degree(rep, d))
     brief = ja.deflate(rep, d, ja.RandomStream("defl-sup"))
-    extra = divisors.sigma_random_element(rep.field, d.space, ja.RandomStream("extra"))
-    assert ja.is_igs(rep, divisors.DivisorBrief(brief.sections + (extra,)), d.degree)
+    extra = divisors.sigma_random_element(rep.field, d, ja.RandomStream("extra"))
+    assert ja.is_igs(rep, divisors.DivisorBrief(brief.sections + (extra,)), ja.degree(rep, d))
 
 
 def test_deflate_inflate_roundtrip(bundle_g2, model_g2):
@@ -89,8 +89,7 @@ def test_deflate_inflate_roundtrip(bundle_g2, model_g2):
         d = _bridged(bundle_g2, model_g2, "round", i)
         brief = ja.deflate(rep, d, ja.RandomStream("r").split(i), stats)
         back = ja.inflate(rep, brief, model_g2.defl_v)
-        assert back.space == d.space
-        assert back.degree == d.degree
+        assert back == d
     assert stats.mean_attempts <= 2.5
     assert sum(stats.histogram.values()) == stats.calls == 25
     assert sum(k * v for k, v in stats.histogram.items()) == stats.attempts
@@ -109,9 +108,8 @@ def test_retry_stats_memory_is_bounded():
 
 def test_deflate_precondition(bundle_g2):
     rep = bundle_g2.rep_a
-    full = divisors.divisor_from_space(rep, rep.full_v())  # degree 0
     with pytest.raises(ja.PreconditionDegree):
-        ja.deflate(rep, full, ja.RandomStream(0))
+        ja.deflate(rep, rep.full_v(), ja.RandomStream(0))  # degree 0
 
 
 def test_inflate_trivia(bundle_g2, model_g2):
@@ -119,12 +117,12 @@ def test_inflate_trivia(bundle_g2, model_g2):
     # the generating set of V inflates to all of V
     got = ja.inflate(rep, divisors.DivisorBrief(model_g2.defl_v.sections),
                      model_g2.defl_v)
-    assert got.space == rep.full_v()
+    assert got == rep.full_v()
     # a single section generates the degree-Delta divisor (s); the sections
     # vanishing on all of (s) are exactly the scalar multiples of s
     s = model_g2.defl_v.sections[0]
     got = ja.inflate(rep, divisors.DivisorBrief((s,)), model_g2.defl_v)
-    assert got.space == ja.column_echelon(rep.field, s.reshape(-1, 1))
+    assert got == ja.column_echelon(rep.field, s.reshape(-1, 1))
 
 
 def test_igs_for_v(bundle_g2):
@@ -144,8 +142,9 @@ def test_flip_degree_and_dimension_laws(bundle_g2, model_g2):
     for i in range(15):
         d = _bridged(bundle_g2, model_g2, "flip", i)
         flipped = ja.flip(rep, d, ja.RandomStream("f").split(i))
-        assert d.degree + flipped.degree == rep.Delta
-        assert flipped.space.dim == rep.delta - flipped.degree
+        assert ja.degree(rep, d) + ja.degree(rep, flipped) == rep.Delta
+        # the flip is at W_D's head s, and (s) = D + E puts s in W_E
+        assert linalg.contains_vector(flipped, rep.head(d))
 
 
 def test_flip_degree_law_is_a_typed_error(bundle_g2, model_g2, monkeypatch):
@@ -201,11 +200,11 @@ def _flip_case(p, sigma_size, form="a"):
                                        compute_defl_v=False)
 
             def own(d):
-                return ja.divisor_from_space(rep, linalg.Subspace(field, rep.n, d.space.basis))
+                return linalg.Subspace(field, rep.n, d.basis)
         pool = [own(d) for d in (model.W_D0, model.W_2D0)]
         rng = ja.RandomStream(f"fused-walk-{p}-{sigma_size}")
         for i in range(4):
-            s = divisors.sigma_random_element(rep.field, pool[-1].space, rng.split(f"s{i}"))
+            s = divisors.sigma_random_element(rep.field, pool[-1], rng.split(f"s{i}"))
             if np.count_nonzero(s):
                 pool.append(ja.flip(rep, pool[-1], rng.split(f"f{i}"), s=s))
         # a Mumford pair padded at infinity; over F_2, where the bridge
@@ -236,8 +235,8 @@ def _replaying(drawn, returned):
     candidates first, then real draws, and records what it returned."""
     draw = divisors.random_igs_candidate
 
-    def candidates(rep, d, rng):
-        returned.append(drawn.pop(0) if drawn else draw(rep, d, rng))
+    def candidates(rep, wd, rng):
+        returned.append(drawn.pop(0) if drawn else draw(rep, wd, rng))
         return returned[-1]
     return candidates
 
@@ -272,21 +271,21 @@ def test_fused_flip_verdict_matches_is_igs(data):
         [(1009, 1009, "a"), (1009, 2, "a"), (2, 2, "a"), (1009, 1009, "b0")]))
     rep, pool = _flip_case(p, sigma_size, form)
     d = data.draw(st.sampled_from(pool))
-    h = ja.igs_size_h(rep.Delta, d.degree, sigma_size)
-    s = _section_of(data, rep, d.space, sigma_size)
-    head = rep.head(d.space) if s is None else s
-    drawn = _weak_candidates(data, p, d.space, rep.head(d.space), h)
+    h = ja.igs_size_h(rep.Delta, ja.degree(rep, d), sigma_size)
+    s = _section_of(data, rep, d, sigma_size)
+    head = rep.head(d) if s is None else s
+    drawn = _weak_candidates(data, p, d, rep.head(d), h)
     returned = []
     stats = ja.RetryStats()
     with mock.patch.object(divisors, "random_igs_candidate", _replaying(drawn, returned)):
         out = ja.flip(rep, d, ja.RandomStream("fused"), s=s, stats=stats)
     headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
-    verdicts = [ja.is_igs(rep, brief, d.degree) for brief in headed]
+    verdicts = [ja.is_igs(rep, brief, ja.degree(rep, d)) for brief in headed]
     assert verdicts == [False] * (len(returned) - 1) + [True]
     assert stats.histogram == {len(returned): 1}
     s_v = rep.apply_mul(head, rep.full_v().basis)
-    assert out.space == ja.divide(rep, linalg.column_echelon(rep.field, s_v),
-                                  headed[-1].sections)
+    assert out == ja.divide(rep, linalg.column_echelon(rep.field, s_v),
+                              headed[-1].sections)
     # deflate runs the same loop: on the same candidates it returns the
     # s-headed one the flip divided by
     replayed, stats = [], ja.RetryStats()
@@ -307,28 +306,28 @@ def test_headed_deflation_verdict_matches_is_igs(data):
     p, sigma_size = data.draw(st.sampled_from([(1009, 1009), (1009, 2), (2, 2)]))
     rep, pool = _flip_case(p, sigma_size)
     x, y = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
-    if x.degree >= 2 * rep.g and data.draw(st.booleans()):
-        s = x.space.basis[:, 0].copy()
+    if ja.degree(rep, x) >= 2 * rep.g and data.draw(st.booleans()):
+        s = x.basis[:, 0].copy()
         e = ja.flip(rep, x, ja.RandomStream("headed-flip"), s=s)
         head = s
     else:
         e, s = x, None
-        head = x.space.basis[:, 0]
-    h = ja.igs_size_h(rep.Delta, e.degree, sigma_size)
-    drawn = _weak_candidates(data, p, e.space, e.space.basis[:, 0], h)
+        head = x.basis[:, 0]
+    h = ja.igs_size_h(rep.Delta, ja.degree(rep, e), sigma_size)
+    drawn = _weak_candidates(data, p, e, e.basis[:, 0], h)
     returned = []
     stats = ja.RetryStats()
     with mock.patch.object(divisors, "random_igs_candidate", _replaying(drawn, returned)):
         brief = ja.deflate(rep, e, ja.RandomStream("headed"), stats, s=s)
     # deflate heads every drawn candidate with s
     headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
-    verdicts = [ja.is_igs(rep, b, e.degree) for b in headed]
+    verdicts = [ja.is_igs(rep, b, ja.degree(rep, e)) for b in headed]
     assert verdicts == [False] * (len(returned) - 1) + [True]
     assert stats.histogram == {len(returned): 1}
     assert all(np.array_equal(a, b) for a, b in zip(brief.sections, headed[-1].sections))
     # the own-section quotient of s*W_y by it is the general one
-    h_w = rep.apply_mul(head, y.space.basis)
-    assert (curverep.divide_own(rep, y.space, curverep.own_blocks(rep, y.space, brief.sections))
+    h_w = rep.apply_mul(head, y.basis)
+    assert (curverep.divide_own(rep, y, curverep.own_blocks(rep, y, brief.sections))
             == ja.divide(rep, linalg.column_echelon(rep.field, h_w), brief.sections))
 
 
@@ -343,40 +342,39 @@ def test_division_degree_verdict_matches_is_igs(data):
     p, sigma_size, form = data.draw(st.sampled_from(
         [(1009, 1009, "a"), (1009, 2, "a"), (2, 2, "a"), (1009, 1009, "b0")]))
     rep, pool = _flip_case(p, sigma_size, form)
-    small = [d for d in pool if 2 * d.degree < rep.Delta]
-    large = [d for d in pool if 2 * d.degree > rep.Delta]
+    small = [d for d in pool if 2 * ja.degree(rep, d) < rep.Delta]
+    large = [d for d in pool if 2 * ja.degree(rep, d) > rep.Delta]
     if data.draw(st.booleans()):
         # D~ is divided by, so x lies above the floor
-        x = data.draw(st.sampled_from([d for d in small if d.degree >= 2 * rep.g]))
+        x = data.draw(st.sampled_from([d for d in small if ja.degree(rep, d) >= 2 * rep.g]))
         y = data.draw(st.sampled_from(small))
-        s = rep.head(x.space)
-        d, w = ja.flip(rep, x, ja.RandomStream("division-flip"), s=s), y.space
+        s = rep.head(x)
+        d, w = ja.flip(rep, x, ja.RandomStream("division-flip"), s=s), y
     else:
         x, d = data.draw(st.sampled_from(large)), data.draw(st.sampled_from(large))
-        s, w = None, ja.flip(rep, x, ja.RandomStream("division-flip")).space
-    head = rep.head(d.space) if s is None else s
-    h = ja.igs_size_h(rep.Delta, d.degree, sigma_size)
-    drawn = _weak_candidates(data, p, d.space, rep.head(d.space), h)
+        s, w = None, ja.flip(rep, x, ja.RandomStream("division-flip"))
+    head = rep.head(d) if s is None else s
+    h = ja.igs_size_h(rep.Delta, ja.degree(rep, d), sigma_size)
+    drawn = _weak_candidates(data, p, d, rep.head(d), h)
     returned = []
     stats = ja.RetryStats()
     with mock.patch.object(divisors, "random_igs_candidate", _replaying(drawn, returned)):
         out = divisors.divide_by(rep, w, d, ja.RandomStream("division"), s=s, stats=stats)
     headed = [divisors.DivisorBrief((head,) + b.sections[1:]) for b in returned]
-    verdicts = [ja.is_igs(rep, brief, d.degree) for brief in headed]
+    verdicts = [ja.is_igs(rep, brief, ja.degree(rep, d)) for brief in headed]
     assert verdicts == [False] * (len(returned) - 1) + [True]
     assert stats.histogram == {len(returned): 1}
     h_w = linalg.column_echelon(rep.field, rep.apply_mul(head, w.basis))
-    assert out.space == ja.divide(rep, h_w, headed[-1].sections)
+    assert out == ja.divide(rep, h_w, headed[-1].sections)
 
 
 def test_flip_preconditions(bundle_g2, model_g2):
     rep = bundle_g2.rep_a
-    full = divisors.divisor_from_space(rep, rep.full_v())
     with pytest.raises(ja.PreconditionDegree):
-        ja.flip(rep, full, ja.RandomStream(0))
+        ja.flip(rep, rep.full_v(), ja.RandomStream(0))
     # (s*W_2D0)/D_0 would have degree 4d > Delta - 2g, where degrees are not exact
     with pytest.raises(ja.PreconditionDegree):
-        divisors.divide_by(rep, model_g2.W_2D0.space, model_g2.W_D0, ja.RandomStream(0))
+        divisors.divide_by(rep, model_g2.W_2D0, model_g2.W_D0, ja.RandomStream(0))
 
 
 def test_flip_zero_section_rejected(bundle_g2, model_g2):
@@ -400,18 +398,18 @@ def test_divide_recovers_cofactor_space(bundle_g2, model_g2):
         m2 = ja.random_mumford(curve, rng.split(f"b{i}"))
         if poly.gcd(m1.u, m2.u, curve.p) != poly.ONE:
             continue
-        f_div = ja.mumford_to_point(model_g2, m1).divisor
-        e_div = ja.mumford_to_point(model_g2, m2).divisor
-        s = f_div.space.basis[:, 0].copy()
-        w_prime = ja.simple_mul(rep, s, e_div.space)     # W'_{F + Ftilde + E}
+        f_div = ja.mumford_to_point(model_g2, m1).space
+        e_div = ja.mumford_to_point(model_g2, m2).space
+        s = f_div.basis[:, 0].copy()
+        w_prime = ja.simple_mul(rep, s, e_div)     # W'_{F + Ftilde + E}
         f_tilde = ja.flip(rep, f_div, rng.split(f"f{i}"))  # uses the same section
         brief = ja.deflate(rep, f_tilde, rng.split(f"d{i}"))
         got = ja.divide(rep, w_prime, brief.sections)     # should be W_{F+E}
         u = poly.mul(m1.u, m2.u, curve.p)
         v = poly.crt([m1.v, m2.v], [m1.u, m2.u], curve.p)
         expected = ja.semireduced_space(model_g2, u, v, 2 * model_g2.d)
-        assert ja.divisor_from_space(rep, got).degree == 2 * model_g2.d
-        assert got == expected.space
+        assert ja.degree(rep, got) == 2 * model_g2.d
+        assert got == expected
         done += 1
 
 
@@ -420,13 +418,13 @@ def test_membership(bundle_g2, model_g2):
     rng = ja.RandomStream("member")
     for i in range(10):
         d = _bridged(bundle_g2, model_g2, "mem", i)
-        assert ja.membership_test(rep, d.space, model_g2.defl_v, rng.split(f"g{i}"))
+        assert ja.membership_test(rep, d, model_g2.defl_v, rng.split(f"g{i}"))
         while True:
-            basis = d.space.basis.copy()
+            basis = d.basis.copy()
             basis[:, -1] = divisors.sigma_random_element(rep.field, rep.full_v(),
                                                          rng.split(f"p{i}"))
             cand = ja.column_echelon(rep.field, basis)
-            if cand.dim == d.space.dim and cand != d.space:
+            if cand.dim == d.dim and cand != d:
                 break
         assert not ja.membership_test(rep, cand, model_g2.defl_v, rng.split(f"t{i}"))
 
@@ -447,5 +445,5 @@ def test_candidate_success_rate_smoke(bundle_g2, model_g2):
     for i in range(100):
         d = pool[i % len(pool)]
         cand = ja.random_igs_candidate(rep, d, rng.split(i))
-        wins += ja.is_igs(rep, cand, d.degree)
+        wins += ja.is_igs(rep, cand, ja.degree(rep, d))
     assert wins >= 45

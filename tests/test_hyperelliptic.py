@@ -1,8 +1,11 @@
+import functools
 import json
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jacarith as ja
 from jacarith import hyperelliptic as hyp, linalg
@@ -201,6 +204,11 @@ TAMPERED = [
     (lambda doc: doc.update(tables=[]), ja.MalformedFile, r"unknown fields \['tables'\]"),
     (lambda doc: doc["curve"].update(tables=[[1]]), ja.MalformedFile,
      r"unknown curve fields \['tables'\]"),
+    # tables past the byte budget are refused before they are built: 3.44 GB
+    # here, and Delta = 3,000,000 would spin in the table loops
+    (lambda doc: doc.update(Delta=600, d=200), ja.MalformedFile, "over the budget"),
+    (lambda doc: doc.update(Delta=3_000_000, d=1_000_000), ja.MalformedFile,
+     "over the budget"),
 ]
 
 
@@ -217,6 +225,53 @@ def test_load_malformed(tmp_path, b0_g1):
         path.write_text(json.dumps(doc))
         with pytest.raises(error, match=message):
             ja.load_bundle(str(path))
+
+
+def _paths(node, path=()):
+    """The key path of every value below node, containers and leaves alike."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def saved_g1(tmp_path_factory, b0_g1):
+    """A folder to write into and the text of b0_g1's saved file."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    ja.save_bundle(b0_g1, str(folder / "g1.json"), rep="b0")
+    return folder, (folder / "g1.json").read_text()
+
+
+_SWAPS = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none(),
+                   st.lists(st.integers(), max_size=3),
+                   st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_INTEGERS = st.one_of(st.integers(-3, 40), st.sampled_from([600, 3_000_000]))
+
+
+@settings(max_examples=500, deadline=1000)
+@given(st.data())
+def test_mutated_bundle_loads_or_is_refused(saved_g1, data):
+    # one field of a saved file is dropped, swapped for another JSON type, or
+    # given another integer: the load returns a bundle or a typed refusal
+    folder, text = saved_g1
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    how = data.draw(st.sampled_from(["drop", "swap", "integer"]))
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "integer" and type(parent[path[-1]]) is int:
+        parent[path[-1]] = data.draw(_INTEGERS)
+    else:
+        parent[path[-1]] = data.draw(_SWAPS)
+    target = folder / "fuzzed.json"
+    target.write_text(json.dumps(doc))
+    try:
+        assert isinstance(ja.load_bundle(str(target)), ja.CurveBundle)
+    except (ja.MalformedFile, ja.VersionMismatch):
+        pass
 
 
 def test_loaded_bundle_runs_group_law(tmp_path, bundle_g1):
@@ -305,9 +360,9 @@ def test_precomp_memory_stays_small(tag):
 def test_monomial_precomp_spaces(bundle_g2, model_g2):
     # stored spaces: codim d and 2d, both containing the constant section
     rep = bundle_g2.rep_a
-    assert model_g2.W_D0.space.dim == rep.delta - model_g2.d
-    assert model_g2.W_2D0.space.dim == rep.delta - 2 * model_g2.d
+    assert model_g2.W_D0.dim == rep.delta - model_g2.d
+    assert model_g2.W_2D0.dim == rep.delta - 2 * model_g2.d
     s0 = model_g2.s0
     from jacarith.linalg import contains_vector
-    assert contains_vector(model_g2.W_D0.space, s0)
-    assert contains_vector(model_g2.W_2D0.space, s0)
+    assert contains_vector(model_g2.W_D0, s0)
+    assert contains_vector(model_g2.W_2D0, s0)

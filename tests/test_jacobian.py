@@ -16,7 +16,8 @@ def _pair(bundle, model, label):
 def test_model_dimensions(bundle_g2, model_g2):
     assert model_g2.d == 4 and model_g2.Delta == 12
     assert bundle_g2.rep_a.delta == 11 and bundle_g2.rep_a.delta_prime == 23
-    assert model_g2.W_D0.degree == 4 and model_g2.W_2D0.degree == 8
+    rep = bundle_g2.rep_a
+    assert ja.degree(rep, model_g2.W_D0) == 4 and ja.degree(rep, model_g2.W_2D0) == 8
 
 
 def test_precomp_rejections(bundle_g2):
@@ -83,7 +84,7 @@ def test_double_flip_preserves_class(bundle_g2, model_g2):
     rng = ja.RandomStream("dflip")
     for i in range(5):
         _, _, x, _ = _pair(bundle_g2, model_g2, f"df{i}")
-        once = divisors.flip(rep, x.divisor, rng.split(f"a{i}"))
+        once = divisors.flip(rep, x.space, rng.split(f"a{i}"))
         twice = divisors.flip(rep, once, rng.split(f"b{i}"))
         assert ja.equal_class(model_g2, jacobian.JacobianPoint(ja.SMALL, twice), x)
 
@@ -125,7 +126,7 @@ def test_small_large_variants_agree(bundle_g2, model_g2):
         neg_small = ja.negate(model_g2, small, rng.split(f"n{i}"))
         as_large = jacobian.JacobianPoint(
             ja.LARGE,
-            divisors.flip(model_g2.rep, neg_small.divisor, rng.split(f"f{i}")))
+            divisors.flip(model_g2.rep, neg_small.space, rng.split(f"f{i}")))
         assert ja.equal_class(model_g2, as_large, large)
 
 

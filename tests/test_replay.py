@@ -47,14 +47,14 @@ def _replay(p: int, tag: str) -> str:
             h.update(repr(item.tolist() if hasattr(item, "tolist") else item).encode())
 
     def put_point(x):
-        put(x.tag, x.divisor.degree, x.space.basis)
+        put(x.tag, ja.degree(model.rep, x.space), x.space.basis)
 
     rng = ja.RandomStream(f"replay-{p}")
     bundle = _bundle(p)
     curve = bundle.curve
     model = bundle.large_model(rng.split(f"model-{tag}"), tag)
     put(tag, ja.validate_rep(model.rep).checks)
-    put(model.W_D0.space.basis, model.W_2D0.space.basis, model.s0,
+    put(model.W_D0.basis, model.W_2D0.basis, model.s0,
         *model.defl_D0.sections, *model.defl_2D0.sections, *model.defl_v.sections)
     for i in range(4):
         r = rng.split(f"{tag}-round-{i}")
